@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import boundary_operator, numerical_rank
 from .errors import (
     DisconnectedError,
     ForeignCircuitError,
@@ -162,15 +163,6 @@ def gauge_transform(L: LineBundle, gauge: Gauge) -> LineBundle:
     return LineBundle(L.graph, angles)
 
 
-def _incidence_matrix(g: Graph, L: LineBundle) -> np.ndarray:
-    """Twisted incidence matrix: +rho_b at the tail row, -1 at the head row."""
-    D = np.zeros((len(g.vertices), len(g.edges)), dtype=complex)
-    for j, (t, h) in enumerate(g._ends):
-        D[t, j] += L._values[j]
-        D[h, j] -= 1.0
-    return D
-
-
 def _max_fundamental_cycle_defect(g: Graph, L: LineBundle) -> float:
     """Gauge the phases to 1 along a spanning tree; the surviving non-tree
     phases are the fundamental cycle holonomies.  Returns max |phase - 1|.
@@ -232,13 +224,7 @@ def h0_trivial(g: Graph, L: LineBundle, tol=None, eps_hol: float = DEFAULT_EPS_H
     """Check that twisted degree-0 homology vanishes.  Requires g connected."""
     if len(components(full_subcomplex(g))) != 1:
         raise DisconnectedError("h0_trivial requires a connected graph")
-    D = _incidence_matrix(g, L)
-    if D.size:
-        sv = np.linalg.svd(D, compute_uv=False)
-        cut = tol if tol is not None else max(D.shape) * np.finfo(float).eps * sv[0]
-        rank = int(np.count_nonzero(sv > cut))
-    else:
-        rank = 0
+    rank = numerical_rank(boundary_operator(g, L).matrix, tol)
     trivial = rank == len(g.vertices)
     defect = float(_max_fundamental_cycle_defect(g, L))
     hol = bool(defect > eps_hol)

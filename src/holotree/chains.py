@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bundle import LineBundle
 from .errors import BasisMismatchError, NonSquareError
 from .graphs import Graph, Subcomplex
+
+if TYPE_CHECKING:
+    from .bundle import LineBundle
 
 
 @dataclass(frozen=True)
@@ -144,21 +147,18 @@ def boundary_operator(g: Graph, L: LineBundle, restrict_to: Subcomplex | None = 
     """
     if L.graph is not g:
         raise ValueError("bundle belongs to a different graph")
+    if restrict_to is not None and restrict_to.graph is not g:
+        raise ValueError("subcomplex belongs to a different graph")
+    tails, heads = g._end_index.T
+    cols = np.arange(len(g.edges))
+    M = np.zeros((len(g.vertices), len(g.edges)), dtype=complex)
+    M[tails, cols] += L.values
+    M[heads, cols] -= 1.0  # after the phase, so a loop column is rho_b - 1
     if restrict_to is None:
-        rows = g.vertices
-        cols = edge_basis(g)
-    else:
-        if restrict_to.graph is not g:
-            raise ValueError("subcomplex belongs to a different graph")
-        rows = restrict_to.vertices
-        cols = restrict_to.edges
-    vpos = {v: i for i, v in enumerate(rows)}
-    M = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, b in enumerate(cols):
-        e = g.edge(b)
-        M[vpos[e.tail], j] += L.phase(b)
-        M[vpos[e.head], j] -= 1.0
-    return LinearOperator(M, 1, tuple(cols), 0, tuple(rows))
+        return LinearOperator(M, 1, edge_basis(g), 0, g.vertices)
+    rows = [g.vertex_index(v) for v in restrict_to.vertices]
+    keep = [g.edge_index(b) for b in restrict_to.edges]
+    return LinearOperator(M[np.ix_(rows, keep)], 1, restrict_to.edges, 0, restrict_to.vertices)
 
 
 def standard_ip(x: ChainVector, y: ChainVector) -> complex:
@@ -194,13 +194,18 @@ def laplacian(bop: LinearOperator, R: ResistanceMap) -> LinearOperator:
     return LinearOperator(M, 0, bop.codomain, 0, bop.codomain)
 
 
+def _rank_of(sv: np.ndarray, shape, tol) -> int:
+    """Count the singular values above tol, by default above max(shape) * eps * sv[0]."""
+    if tol is None:
+        tol = max(shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+    return int(np.count_nonzero(sv > tol))
+
+
 def numerical_rank(matrix: np.ndarray, tol=None) -> int:
     M = np.asarray(matrix)
     if M.size == 0:
         return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    cut = tol if tol is not None else max(M.shape) * np.finfo(float).eps * sv[0]
-    return int(np.count_nonzero(sv > cut))
+    return _rank_of(np.linalg.svd(M, compute_uv=False), M.shape, tol)
 
 
 def kernel_basis(op: LinearOperator, tol=None) -> list[ChainVector]:
@@ -210,8 +215,7 @@ def kernel_basis(op: LinearOperator, tol=None) -> list[ChainVector]:
     if n == 0:
         return []
     _, sv, vh = np.linalg.svd(M, full_matrices=True)
-    cut = tol if tol is not None else max(M.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.count_nonzero(sv > cut))
+    rank = _rank_of(sv, M.shape, tol)
     return [
         ChainVector(op.domain_degree, op.domain, vh[j].conj())
         for j in range(rank, n)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bundle import Gauge, h0_trivial
 from .chains import boundary_operator, edge_basis, homology_dims, kernel_basis
-from .errors import HolotreeError
+from .errors import HolotreeError, UnknownEdgeError
 from .fileformat import parse_chain_text, parse_graph_text
 from .forests import enumerate_forests, forest_record
 from .graphs import components, full_subcomplex
@@ -298,10 +298,15 @@ def _cmd_lowtemp(args):
         W = {}
         for part in args.w.split(","):
             name, _, value = part.strip().partition("=")
-            W[name.strip()] = float(value)
+            name = name.strip()
+            if not g.has_edge(name):
+                raise UnknownEdgeError(f"unknown edge {name!r} in weight exponents")
+            W[name] = float(value)
     betas = [float(b) for b in args.beta.split(",") if b.strip()]
+    if not betas or not np.all(np.isfinite(betas)):
+        raise ValueError(f"--beta needs at least one value, all finite: got {args.beta!r}")
     rep = low_temp_demo(g, L, T, W, betas)
-    final = rep.deviations[-1] if rep.deviations else 0.0
+    final = rep.deviations[-1]
     passed = rep.monotone and final < 1e-3
     report = {
         "command": "lowtemp",
@@ -321,6 +326,8 @@ def _cmd_lowtemp(args):
 
 
 def _cmd_gauge_check(args):
+    if args.gauges < 1:
+        raise ValueError(f"--gauges must be at least 1, got {args.gauges}")
     g, L, R = _load(args)
     rng = np.random.default_rng(args.seed)
     worst_det = 0.0

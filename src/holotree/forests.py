@@ -36,7 +36,7 @@ from .errors import (
     ConditioningWarning,
     SingularTreeSystemError,
 )
-from .graphs import Graph, OrientedCircuit, _circuit_edge_indices, _orient_circuit
+from .graphs import Graph, OrientedCircuit, _circuit_edge_indices, _component_cells, _orient_circuit
 
 
 @dataclass(frozen=True)
@@ -80,38 +80,10 @@ class _Candidate:
 def _unicyclic_components(g: Graph, edge_indices):
     """Components of (all vertices, these edges); None unless each one is
     unicyclic and every vertex is covered by exactly its component."""
-    n = len(g.vertices)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ei in edge_indices:
-        t, h = g._ends[ei]
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rh] = rt
-    comp_vs: dict[int, list[int]] = {}
-    for v in range(n):
-        comp_vs.setdefault(find(v), []).append(v)
-    comp_es: dict[int, list[int]] = {root: [] for root in comp_vs}
-    for ei in edge_indices:
-        t, _ = g._ends[ei]
-        comp_es[find(t)].append(ei)
-    comps = []
-    for root in sorted(comp_vs, key=lambda r: min(comp_vs[r])):
-        vs, es = comp_vs[root], comp_es[root]
-        if len(vs) != len(es):  # euler characteristic must vanish per component
-            return None
-        comps.append((tuple(sorted(vs)), tuple(sorted(es))))
-    out = []
-    for vs, es in comps:
-        circ = _orient_circuit(g, _circuit_edge_indices(g, es))
-        out.append((vs, es, circ))
-    return tuple(out)
+    comps = _component_cells(g, range(len(g.vertices)), edge_indices)
+    if any(len(vs) != len(es) for vs, es in comps):  # euler characteristic 0 per component
+        return None
+    return tuple((vs, es, _orient_circuit(g, _circuit_edge_indices(g, es))) for vs, es in comps)
 
 
 _candidate_cache: "weakref.WeakKeyDictionary[Graph, tuple]" = weakref.WeakKeyDictionary()

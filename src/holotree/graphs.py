@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DuplicateIdError,
     NotUnicyclicError,
@@ -77,6 +79,8 @@ class Graph:
         self._ends: tuple[tuple[int, int], ...] = tuple(
             (vindex[e.tail], vindex[e.head]) for e in edges
         )
+        # the same as an (m, 2) index array: column 0 tails, column 1 heads
+        self._end_index = np.array(self._ends, dtype=np.intp).reshape(len(edges), 2)
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -164,47 +168,47 @@ def spanning_subcomplex(g: Graph, edge_ids) -> Subcomplex:
     return g.spanning_subcomplex(edge_ids)
 
 
+def _component_cells(g: Graph, vertex_indices, edge_indices) -> list[tuple[tuple, tuple]]:
+    """Union-find labelling of the subgraph (these vertices, these edges).
+
+    Returns sorted (vertex indices, edge indices) per component, ordered by
+    least vertex.  Every edge's endpoints must be among the vertices.
+    """
+    parent = list(range(len(g.vertices)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    ends = g._ends
+    for ei in edge_indices:
+        t, h = ends[ei]
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            parent[rh] = rt
+    comp_vs: dict[int, list[int]] = {}
+    for v in sorted(vertex_indices):
+        comp_vs.setdefault(find(v), []).append(v)
+    comp_es: dict[int, list[int]] = {root: [] for root in comp_vs}
+    for ei in sorted(edge_indices):
+        comp_es[find(ends[ei][0])].append(ei)
+    return [(tuple(vs), tuple(comp_es[root])) for root, vs in comp_vs.items()]
+
+
 def components(subc: Subcomplex) -> tuple[Subcomplex, ...]:
     """Split a subcomplex into connected components, ordered by least vertex."""
     g = subc.graph
-    vidx = [g.vertex_index(v) for v in subc.vertices]
-    eidx = [g.edge_index(b) for b in subc.edges]
-    adj: dict[int, list[int]] = {v: [] for v in vidx}
-    for ei in eidx:
-        t, h = g._ends[ei]
-        adj[t].append(h)
-        adj[h].append(t)
-    comp_of: dict[int, int] = {}
-    order: list[list[int]] = []
-    for start in sorted(vidx):
-        if start in comp_of:
-            continue
-        comp_id = len(order)
-        stack = [start]
-        comp_of[start] = comp_id
-        members = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp_of:
-                    comp_of[w] = comp_id
-                    members.append(w)
-                    stack.append(w)
-        order.append(members)
-    comp_edges: list[list[int]] = [[] for _ in order]
-    for ei in eidx:
-        t, _ = g._ends[ei]
-        comp_edges[comp_of[t]].append(ei)
-    out = []
-    for members, ce in zip(order, comp_edges):
-        out.append(
-            Subcomplex(
-                g,
-                tuple(g.vertices[i] for i in sorted(members)),
-                tuple(g.edges[i].id for i in sorted(ce)),
-            )
-        )
-    return tuple(out)
+    cells = _component_cells(
+        g,
+        [g.vertex_index(v) for v in subc.vertices],
+        [g.edge_index(b) for b in subc.edges],
+    )
+    return tuple(
+        Subcomplex(g, tuple(g.vertices[i] for i in vs), tuple(g.edges[i].id for i in es))
+        for vs, es in cells
+    )
 
 
 def euler_characteristic(subc: Subcomplex) -> int:

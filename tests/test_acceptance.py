@@ -175,6 +175,21 @@ def test_restricted_boundary_determinant_equals_rho_hat(suite):
     assert ok
 
 
+def test_forest_components_match_graph_components(suite):
+    mismatched = []
+    count = 0
+    for t in suite:
+        for T in t.forests:
+            comps = ht.components(t.graph.spanning_subcomplex(T.edges))
+            expected = [(fc.vertices, fc.edges) for fc in T.components]
+            if [(c.vertices, c.edges) for c in comps] != expected:
+                mismatched.append((t.name, T.edges))
+            count += 1
+    _verdict(not mismatched, "forest components vs graph components",
+             f"{len(mismatched)} of {count} forests differ")
+    assert mismatched == []
+
+
 def test_gauge_and_subdivision_invariance(suite):
     rng = np.random.default_rng(515253)
     worst_det = 0.0

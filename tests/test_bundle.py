@@ -13,6 +13,7 @@ from holotree import (
     StaleCorrespondenceError,
     UnknownEdgeError,
     attach_phases,
+    boundary_operator,
     build_graph,
     circuit_of_unicyclic,
     gauge_transform,
@@ -144,6 +145,12 @@ def test_h0_trivial_theta(theta):
     assert rep.trivial and rep.rank == 2 and rep.vertex_count == 2
     assert rep.holonomy_route and rep.routes_agree
     assert rep.max_cycle_defect > 1.0
+    # an explicit tol is the rank cut: between the singular values, then above both
+    sv = np.linalg.svd(boundary_operator(theta.graph, theta.bundle).matrix, compute_uv=False)
+    mid = h0_trivial(theta.graph, theta.bundle, tol=float(sv.mean()))
+    assert mid.rank == 1 and not mid.trivial
+    top = h0_trivial(theta.graph, theta.bundle, tol=1.01 * float(sv[0]))
+    assert top.rank == 0 and not top.trivial
 
 
 def test_h0_requires_connected():

@@ -96,6 +96,18 @@ def test_boundary_restriction(theta):
     rb = cmath.exp(2j * np.pi / 3)
     assert D.matrix.shape == (2, 2)
     assert np.allclose(D.matrix, [[1.0, rb], [-1.0, -1.0]])
+    # a restriction keeping a loop and a parallel edge is a slice of the full matrix
+    g = build_graph(
+        ["u", "v", "w"],
+        [("a", "u", "v"), ("l", "v", "v"), ("c", "v", "w"), ("p", "u", "v"), ("d", "w", "u")],
+    )
+    L = attach_phases(g, {"a": 0.4, "l": 2.2, "c": 1.3, "p": 5.1, "d": 3.0})
+    full = boundary_operator(g, L).matrix
+    sub = Subcomplex(g, ("u", "v"), ("p", "l", "a"))
+    D = boundary_operator(g, L, sub)
+    assert D.domain == ("a", "l", "p") and D.codomain == ("u", "v")
+    assert np.array_equal(D.matrix, full[np.ix_([0, 1], [0, 1, 3])])
+    assert D.matrix[1, 1] == L.phase("l") - 1.0
 
 
 def test_operator_application_and_mismatch(theta):

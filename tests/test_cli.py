@@ -189,6 +189,29 @@ def test_lowtemp_rejects_inadmissible_weights(theta_file, capsys):
     assert json.loads(err)["error"]["type"] == "InvalidWError"
 
 
+def test_lowtemp_rejects_unknown_weight_edge(theta_file, capsys):
+    rc, out, err = run_cli(capsys, [
+        "lowtemp", theta_file, "--tree", "a,b", "--w", "a=1,zz=3,b=1,c=9",
+    ])
+    assert rc == 2 and out == ""
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "UnknownEdgeError" and "'zz'" in diag["message"]
+
+
+@pytest.mark.parametrize("beta", [",", "1,nan", "1,inf"])
+def test_lowtemp_rejects_empty_or_nonfinite_beta(twoloop_file, capsys, beta):
+    rc, out, err = run_cli(capsys, ["lowtemp", twoloop_file, "--beta", beta])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gauge_check_rejects_count_below_one(theta_file, capsys, count):
+    rc, out, err = run_cli(capsys, ["gauge-check", theta_file, "--gauges", count])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_gauge_check_reports_seed(theta_file, capsys):
     rc, out, _ = run_cli(capsys, ["gauge-check", theta_file, "--seed", "7", "--gauges", "5"])
     assert rc == 0
