@@ -51,19 +51,19 @@ class ForestComponent:
 class ForestRecord:
     """A spanning unicyclic subgraph with nontrivial circuit holonomies.
 
-    Edges are kept sorted lexicographically.  The record holds references to
-    the graph, bundle and resistances it was built from, plus a cached copy
-    of the T_bar operator once someone asks for it.
+    Edges are kept sorted lexicographically; `edge_indices` gives their
+    positions in the graph's edge list, in the same order.  The record holds
+    references to the graph, bundle and resistances it was built from.
     """
 
     edges: tuple[str, ...]
     components: tuple[ForestComponent, ...]
     rho_hat: float
     weight: float
+    edge_indices: tuple[int, ...] = field(repr=False)
     graph: Graph = field(repr=False)
     bundle: LineBundle = field(repr=False)
     resistances: ResistanceMap = field(repr=False)
-    _tbar: LinearOperator | None = field(default=None, repr=False, compare=False)
 
 
 class _Candidate:
@@ -111,8 +111,8 @@ def _spanning_unicyclic_candidates(g: Graph) -> tuple:
             comps = _unicyclic_components(g, combo)
             if comps is None:
                 continue
-            ids = tuple(sorted(g.edges[ei].id for ei in combo))
-            out.append(_Candidate(ids, tuple(sorted(combo)), comps))
+            # `order` is by edge id, so combo lists its edges in id order
+            out.append(_Candidate(tuple(g.edges[ei].id for ei in combo), combo, comps))
     result = tuple(out)
     _candidate_cache[g] = result
     return result
@@ -174,7 +174,7 @@ def _record_from_candidate(
     weight = rho
     for b in cand.edge_ids:
         weight /= R.r(b)
-    return ForestRecord(cand.edge_ids, tuple(comps), rho, weight, g, L, R)
+    return ForestRecord(cand.edge_ids, tuple(comps), rho, weight, cand.edge_indices, g, L, R)
 
 
 def _warn_near_trivial(g: Graph, L: LineBundle, weak: list, eps_hol: float) -> None:
@@ -237,7 +237,7 @@ def forest_record(
     comps = _unicyclic_components(g, [g.edge_index(b) for b in ids])
     if comps is None:
         raise ValueError(f"edge set {ids!r} is not a spanning union of unicyclic components")
-    cand = _Candidate(ids, tuple(sorted(g.edge_index(b) for b in ids)), comps)
+    cand = _Candidate(ids, tuple(g.edge_index(b) for b in ids), comps)
     hols = [holonomy(L, circ) for _, _, circ in cand.components]
     for h in hols:
         if abs(h - 1.0) <= eps_hol:
@@ -245,58 +245,63 @@ def forest_record(
     return _record_from_candidate(g, L, R, cand, hols)
 
 
-def _tbar_matrix(g: Graph, L: LineBundle, T: ForestRecord, tol: float = 1e-9) -> np.ndarray:
-    n, m = len(g.vertices), len(g.edges)
-    tree_idx = [g.edge_index(b) for b in T.edges]
-    tree_set = set(tree_idx)
-    rest = [j for j in range(m) if j not in tree_set]
-    D = boundary_operator(g, L).matrix
-    A = D[:, tree_idx]
-    M = np.zeros((m, m), dtype=complex)
-    if rest:
-        B = D[:, rest]
+# Forests per chunk: c*n*m <= _CHUNK_ENTRIES keeps a chunk's ~5*c*n*m complex
+# numbers (tree blocks, right-hand sides, solutions, residuals) near 1 MB.
+_CHUNK_ENTRIES = 1 << 13
+
+
+def _rest_indices(tree: np.ndarray, m: int) -> np.ndarray:
+    """(F, m - n) non-tree edge indices, ascending, for (F, n) tree indices."""
+    keep = np.ones((len(tree), m), dtype=bool)
+    keep[np.arange(len(tree))[:, None], tree] = False
+    return np.nonzero(keep)[1].reshape(len(tree), m - tree.shape[1])
+
+
+def _tbar_sum(D, tree, rest, weights, tol: float = 1e-9, V=None):
+    """Sum_T w_T T_bar_T over the forests in the rows of `tree` (F, n), `rest`
+    (F, m - n) and `weights` (F,), and for a voltage V Sum_T w_T T_bar_T^H V,
+    each from the forest's own solve of D[:, tree] U = D[:, rest].  Entries
+    are summed in forest order, so the chunking does not change the result."""
+    m = D.shape[1]
+    acc = np.zeros(m * m, dtype=complex)
+    adj = None if V is None else np.zeros(m, dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // D.size)
+    for s in range(0, len(tree) if rest.shape[1] else 0, step):  # m == n: every T_bar is 0
+        t, r, w = tree[s : s + step], rest[s : s + step], weights[s : s + step]
+        A, B = D[:, t].transpose(1, 0, 2), D[:, r].transpose(1, 0, 2)
         try:
             U = np.linalg.solve(A, B)
         except np.linalg.LinAlgError as exc:
             raise SingularTreeSystemError(f"restricted boundary is singular: {exc}") from None
-        resid = A @ U - B
-        scale = max(
-            1.0,
-            float(np.abs(A).max(initial=0.0)) * float(np.abs(U).max(initial=0.0))
-            + float(np.abs(B).max(initial=0.0)),
-        )
-        if float(np.abs(resid).max(initial=0.0)) > tol * scale:
-            raise SingularTreeSystemError(
-                "restricted boundary solve exceeded the residual tolerance"
-            )
-        for c, j in enumerate(rest):
-            M[j, j] = 1.0
-            M[tree_idx, j] = -U[:, c]
-    return M
+        a, u, b = (np.abs(X).max(axis=(1, 2)) for X in (A, U, B))
+        if np.any(np.abs(A @ U - B).max(axis=(1, 2)) > tol * np.maximum(1.0, a * u + b)):
+            raise SingularTreeSystemError("restricted boundary solve exceeded the residual tolerance")
+        np.add.at(acc, r * (m + 1), w[:, None])  # unit diagonal of the non-tree columns
+        np.add.at(acc, t[:, :, None] * m + r[:, None, :], w[:, None, None] * -U)
+        if V is not None:
+            np.add.at(adj, r, w[:, None] * (V[r] - np.einsum("fic,fi->fc", U.conj(), V[t])))
+    return acc.reshape(m, m), adj
 
 
 def tbar_operator(g: Graph, L: LineBundle, T: ForestRecord, tol: float = 1e-9) -> LinearOperator:
     """The projection-onto-cycles operator attached to one forest.
 
     Column b is the cycle T_bar(b) for non-tree edges and zero for tree
-    edges; the result is cached on the record.
+    edges: the one-forest, unit-weight case of the batched T_bar sum.
     """
     if T.graph is not g:
         raise ValueError("forest record belongs to a different graph")
-    if T._tbar is None:
-        basis = edge_basis(g)
-        T._tbar = LinearOperator(_tbar_matrix(g, L, T, tol), 1, basis, 1, basis)
-    return T._tbar
+    tree = np.array([T.edge_indices])
+    rest = _rest_indices(tree, len(g.edges))
+    M, _ = _tbar_sum(boundary_operator(g, L).matrix, tree, rest, np.ones(1), tol)
+    basis = edge_basis(g)
+    return LinearOperator(M, 1, basis, 1, basis)
 
 
 def tbar_chain(g: Graph, L: LineBundle, T: ForestRecord, b: str, tol: float = 1e-9) -> ChainVector:
     """T_bar(b): zero for b in T, else the unique cycle b - u with u on T."""
     j = g.edge_index(b)
-    basis = edge_basis(g)
-    if b in T.edges:
-        return ChainVector(1, basis, np.zeros(len(basis), dtype=complex))
-    op = tbar_operator(g, L, T, tol)
-    return ChainVector(1, basis, op.matrix[:, j].copy())
+    return ChainVector(1, edge_basis(g), tbar_operator(g, L, T, tol).matrix[:, j].copy())
 
 
 def exchange(
@@ -319,8 +324,7 @@ def exchange(
         raise ValueError(f"edge {b_i!r} is already in the forest")
     if b_j not in T.edges:
         raise ValueError(f"edge {b_j!r} is not in the forest")
-    op = tbar_operator(g, L, T)
-    coef = op.matrix[g.edge_index(b_j), g.edge_index(b_i)]
+    coef = tbar_operator(g, L, T).matrix[g.edge_index(b_j), g.edge_index(b_i)]
     if abs(coef) <= eps:
         return None
     new_edges = sorted((set(T.edges) - {b_j}) | {b_i})

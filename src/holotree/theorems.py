@@ -31,8 +31,8 @@ from .chains import (
     kernel_basis,
     laplacian,
 )
-from .errors import BasisMismatchError, InvalidWError, NoForestsError
-from .forests import ForestRecord, enumerate_forests, tbar_operator
+from .errors import BasisMismatchError, InvalidWError, NoForestsError, UnknownEdgeError
+from .forests import ForestRecord, _rest_indices, _tbar_sum, enumerate_forests
 from .graphs import Graph
 
 _TINY = 1e-300
@@ -58,14 +58,13 @@ def oracle_projection(g: Graph, L: LineBundle, R: ResistanceMap, tol=None) -> Li
     return LinearOperator(P, 1, basis, 1, basis)
 
 
-def _forest_sum_operator(g, forests):
-    m = len(g.edges)
-    acc = np.zeros((m, m), dtype=complex)
-    delta = 0.0
-    for T in forests:
-        acc += T.weight * tbar_operator(g, T.bundle, T).matrix
-        delta += T.weight
-    return acc, delta
+def _forest_sum_operator(g, L, forests, V=None):
+    """Sum_T w_T T_bar_T, Sum_T w_T and, for a voltage V, Sum_T w_T T_bar_T^H V."""
+    tree = np.array([T.edge_indices for T in forests])
+    weights = np.array([T.weight for T in forests])
+    rest = _rest_indices(tree, len(g.edges))
+    acc, adj = _tbar_sum(boundary_operator(g, L).matrix, tree, rest, weights, V=V)
+    return acc, sum(T.weight for T in forests), adj
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def kirchhoff_projection(
         raise NoForestsError(
             "no forest cleared the holonomy threshold; the forest average is undefined"
         )
-    acc, delta = _forest_sum_operator(g, forests)
+    acc, delta, _ = _forest_sum_operator(g, L, forests)
     basis = edge_basis(g)
     P = LinearOperator(acc / delta, 1, basis, 1, basis)
     oracle = oracle_projection(g, L, R, tol)
@@ -128,14 +127,10 @@ def solve_network(
     forests = enumerate_forests(g, L, R, eps_hol)
     if not forests:
         raise NoForestsError("no forest cleared the holonomy threshold")
-    acc, delta = _forest_sum_operator(g, forests)
+    acc, delta, acc2 = _forest_sum_operator(g, L, forests, V.coeffs)
     r = R.diagonal(basis)
     z = (acc / delta) @ (V.coeffs / r)
     # independent route: <z, b> = (1/delta) sum_T (w_T / r_b) <V, T_bar(b)>
-    acc2 = np.zeros(len(basis), dtype=complex)
-    for T in forests:
-        M = tbar_operator(g, T.bundle, T).matrix
-        acc2 += T.weight * (M.conj().T @ V.coeffs)
     z2 = acc2 / (delta * r)
     resid = V.coeffs - r * z
     kers = kernel_basis(boundary_operator(g, L), tol)
@@ -224,6 +219,9 @@ def auto_weight_exponents(g: Graph, T: ForestRecord) -> dict[str, float]:
 
 
 def _check_weight_exponents(g: Graph, T: ForestRecord, W: dict[str, float]) -> None:
+    unknown = [b for b in W if not g.has_edge(b)]
+    if unknown:
+        raise UnknownEdgeError(f"weight exponents for unknown edges {unknown!r}")
     missing = [e.id for e in g.edges if e.id not in W]
     if missing:
         raise InvalidWError(f"missing weight exponents for edges {missing!r}")
@@ -271,6 +269,9 @@ def low_temp_demo(
     else:
         Wd = {b: float(w) for b, w in dict(W).items()}
     _check_weight_exponents(g, T, Wd)
+    betas = [float(b) for b in beta_list]
+    if not betas or not np.all(np.isfinite(betas)):
+        raise ValueError(f"beta_list needs at least one value, all finite: got {beta_list!r}")
     D = boundary_operator(g, L).matrix
     w_full = np.asarray([Wd[e.id] for e in g.edges], dtype=float)
     tree_idx = [g.edge_index(b) for b in T.edges]
@@ -279,8 +280,7 @@ def low_temp_demo(
     ratios = []
     tree_lds = []
     full_lds = []
-    for beta in beta_list:
-        beta = float(beta)
+    for beta in betas:
         MT = (A * np.exp(-beta * w_tree)[None, :]) @ A.conj().T
         MF = (D * np.exp(-beta * w_full)[None, :]) @ D.conj().T
         _, ld_t = np.linalg.slogdet(MT)
@@ -291,7 +291,7 @@ def low_temp_demo(
     devs = [abs(1.0 - r) for r in ratios]
     monotone = all(devs[i + 1] <= devs[i] + 1e-12 for i in range(len(devs) - 1))
     return LowTempReport(
-        tuple(float(b) for b in beta_list),
+        tuple(betas),
         tuple(ratios),
         tuple(devs),
         monotone,

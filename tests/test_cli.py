@@ -205,6 +205,26 @@ def test_lowtemp_rejects_empty_or_nonfinite_beta(twoloop_file, capsys, beta):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    # weights 3e-400 underflow to 0, so the forest average is nan and its SVD fails
+    p = tmp_path / "theta_huge_r.graph"
+    p.write_text(THETA_TEXT.replace("resistance 1\n", "resistance 1e+200\n"))
+    with pytest.warns(RuntimeWarning):
+        rc, out, err = run_cli(capsys, ["project", str(p)])
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "LinAlgError"
+
+
+def test_singular_tree_system_exits_3(theta_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise holotree.SingularTreeSystemError("restricted boundary is singular")
+
+    monkeypatch.setattr(holotree.cli, "kirchhoff_projection", fail)
+    rc, out, err = run_cli(capsys, ["project", theta_file])
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "SingularTreeSystemError"
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_gauge_check_rejects_count_below_one(theta_file, capsys, count):
     rc, out, err = run_cli(capsys, ["gauge-check", theta_file, "--gauges", count])

@@ -5,6 +5,7 @@ from holotree import (
     AssumptionViolatedError,
     ConditioningWarning,
     ResistanceMap,
+    SingularTreeSystemError,
     UnknownEdgeError,
     attach_phases,
     boundary_operator,
@@ -23,8 +24,10 @@ from holotree import (
     tbar_operator,
     unit_chain,
 )
+from holotree import forests as forests_mod
+from holotree.forests import _rest_indices, _tbar_sum
 
-from conftest import random_triple
+from conftest import TWO_PI, random_triple
 
 
 def test_two_loop_census(two_loops):
@@ -162,10 +165,102 @@ def test_tbar_fixes_cycles():
         assert np.linalg.norm(M @ z.coeffs - z.coeffs) <= 1e-10 * z.norm()
 
 
-def test_tbar_operator_is_cached(two_loops):
+def test_tbar_operator_is_deterministic(two_loops):
     g, L = two_loops.graph, two_loops.bundle
     T = two_loops.forests[0]
-    assert tbar_operator(g, L, T) is tbar_operator(g, L, T)
+    assert np.array_equal(tbar_operator(g, L, T).matrix, tbar_operator(g, L, T).matrix)
+
+
+def _tbar_loop(D, tree_idx):
+    """T_bar of one forest, one non-tree column at a time."""
+    m = D.shape[1]
+    M = np.zeros((m, m), dtype=complex)
+    for j in sorted(set(range(m)) - set(tree_idx)):
+        M[j, j] = 1.0
+        M[tree_idx, j] = -np.linalg.solve(D[:, tree_idx], D[:, j])
+    return M
+
+
+def _batch(g, L, forests):
+    tree = np.array([T.edge_indices for T in forests])
+    rest = _rest_indices(tree, len(g.edges))
+    return boundary_operator(g, L).matrix, tree, rest, np.array([T.weight for T in forests])
+
+
+@pytest.fixture(scope="module")
+def census_7_14():
+    """A (7, 14) multigraph with 1,300-odd forests: several default chunks."""
+    rng = np.random.default_rng(36)
+    vs = [f"v{i}" for i in range(7)]
+    edges = [(f"e{i - 1}", vs[int(rng.integers(0, i))], vs[i]) for i in range(1, 7)]
+    edges += [(f"e{k}", *(vs[int(i)] for i in rng.integers(0, 7, 2))) for k in range(6, 14)]
+    g = build_graph(vs, edges)
+    L = attach_phases(g, {e.id: float(a) for e, a in zip(g.edges, rng.uniform(0.0, TWO_PI, 14))})
+    R = ResistanceMap({e.id: float(r) for e, r in zip(g.edges, rng.uniform(0.1, 10.0, 14))})
+    return g, L, enumerate_forests(g, L, R)
+
+
+def test_tbar_operator_matches_column_loop(suite):
+    for t in suite:
+        g, L = t.graph, t.bundle
+        D = boundary_operator(g, L).matrix
+        for T in t.forests[:3]:
+            M = tbar_operator(g, L, T).matrix
+            ref = _tbar_loop(D, list(T.edge_indices))
+            assert np.abs(M - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), t
+
+
+def test_batched_tbar_sum_matches_per_forest_operators(suite):
+    rng = np.random.default_rng(37)
+    for t in suite:
+        g, L = t.graph, t.bundle
+        m = len(g.edges)
+        V = rng.normal(size=m) + 1j * rng.normal(size=m)
+        acc, adj = _tbar_sum(*_batch(g, L, t.forests), V=V)
+        mats = [tbar_operator(g, L, T).matrix for T in t.forests]
+        ref = sum(T.weight * M for T, M in zip(t.forests, mats))
+        ref_adj = sum(T.weight * (M.conj().T @ V) for T, M in zip(t.forests, mats))
+        assert np.abs(acc - ref).max() <= 1e-12 * max(1.0, np.abs(acc).max()), t
+        assert np.abs(adj - ref_adj).max() <= 1e-12 * max(1.0, np.abs(adj).max()), t
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7, None])
+def test_tbar_sum_does_not_depend_on_chunking(census_7_14, monkeypatch, per_chunk):
+    g, L, forests = census_7_14
+    args = _batch(g, L, forests)
+    n, m = len(g.vertices), len(g.edges)
+    assert len(forests) > 2 * (forests_mod._CHUNK_ENTRIES // (n * m))
+    V = np.linspace(-1.0, 1.0, m) + 0.5j
+    acc, adj = _tbar_sum(*args, V=V)
+    monkeypatch.setattr(forests_mod, "_CHUNK_ENTRIES", (per_chunk or len(forests)) * n * m)
+    acc2, adj2 = _tbar_sum(*args, V=V)
+    assert np.abs(acc2 - acc).max() <= 1e-14 * max(1.0, np.abs(acc).max())
+    assert np.abs(adj2 - adj).max() <= 1e-14 * max(1.0, np.abs(adj).max())
+
+
+def test_tbar_sum_checks_every_forest_residual(census_7_14):
+    g, L, forests = census_7_14
+    D, tree, rest, weights = _batch(g, L, forests)
+    ratios = []
+    for t, r in zip(tree, rest):
+        A, B = D[:, t], D[:, r]
+        U = np.linalg.solve(A, B)
+        scale = max(1.0, np.abs(A).max() * np.abs(U).max() + np.abs(B).max())
+        ratios.append(np.abs(A @ U - B).max() / scale)
+    k = int(np.argmax(ratios))
+    worst, second = ratios[k], max(ratios[:k] + ratios[k + 1 :])
+    assert 0.0 < second < 0.9 * worst  # the solves leave roundoff
+    # the worst forest goes mid-way through the second chunk
+    step = forests_mod._CHUNK_ENTRIES // D.size
+    order = np.delete(np.arange(len(forests)), k)
+    order = np.insert(order, step + step // 2, k)
+    batch = (D, tree[order], rest[order], weights[order])
+    _tbar_sum(*batch, tol=1.1 * worst)
+    for tol in (0.95 * worst, 0.0):
+        with pytest.raises(SingularTreeSystemError, match="residual"):
+            _tbar_sum(*batch, tol=tol)
+    with pytest.raises(SingularTreeSystemError, match="residual"):
+        tbar_operator(g, L, forests[k], tol=0.0)
 
 
 def test_tbar_operator_rejects_foreign_records(two_loops, theta):

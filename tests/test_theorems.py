@@ -10,6 +10,7 @@ from holotree import (
     InvalidWError,
     NoForestsError,
     ResistanceMap,
+    UnknownEdgeError,
     attach_phases,
     auto_weight_exponents,
     boundary_operator,
@@ -237,6 +238,18 @@ def test_low_temp_rejects_bad_exponents(two_loops, theta):
     with pytest.raises(InvalidWError, match="exceed"):
         low_temp_demo(theta.graph, theta.bundle, theta.forests[0],
                       {"a": 5.0, "b": 1.0, "c": 2.0})
+
+
+def test_low_temp_rejects_unknown_edges(theta):
+    T = theta.forests[0]
+    with pytest.raises(UnknownEdgeError, match="'zz'"):
+        low_temp_demo(theta.graph, theta.bundle, T, {"a": 1.0, "b": 1.0, "c": 9.0, "zz": 3.0})
+
+
+@pytest.mark.parametrize("betas", [(), [], (1.0, float("nan")), (1.0, float("inf"))])
+def test_low_temp_rejects_empty_or_nonfinite_betas(theta, betas):
+    with pytest.raises(ValueError, match="beta_list"):
+        low_temp_demo(theta.graph, theta.bundle, theta.forests[0], "auto", betas)
 
 
 def test_low_temp_survives_extreme_beta(two_loops):
