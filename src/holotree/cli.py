@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -231,7 +232,8 @@ def _cmd_project(args):
     RP = r[:, None] * P
     D = boundary_operator(g, L).matrix
     idem = float(np.abs(P @ P - P).max(initial=0.0))
-    selfadj = float(np.abs(RP - RP.conj().T).max(initial=0.0))
+    # R P grows with R, so its defect is measured relative to the largest r
+    selfadj = float(np.abs(RP - RP.conj().T).max(initial=0.0)) / float(r.max())
     bdefect = float(np.abs(D @ P).max(initial=0.0))
     kfix = 0.0
     for k in kernel_basis(boundary_operator(g, L)):
@@ -401,9 +403,15 @@ def _report_error(exc: Exception, code: int) -> int:
     return code
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """One JSON line per warning, without the source file and line."""
+    return render_json({"warning": {"type": category.__name__, "message": str(message)}}) + "\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         report, passed = _COMMANDS[args.command](args)
     # LinAlgError is a ValueError: numerical failures are caught first
@@ -411,6 +419,8 @@ def main(argv=None) -> int:
         return _report_error(exc, EXIT_NUMERICAL)
     except (HolotreeError, OSError, ValueError) as exc:
         return _report_error(exc, EXIT_INPUT)
+    finally:
+        warnings.formatwarning = saved
     if args.format == "json":
         print(render_json(report))
     else:

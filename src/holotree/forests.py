@@ -19,6 +19,7 @@ import itertools
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,35 +70,79 @@ class ForestRecord:
 class _Candidate:
     """Structural data of one spanning unicyclic subgraph (phase independent)."""
 
-    __slots__ = ("edge_ids", "edge_indices", "components")
+    __slots__ = ("edge_ids", "components")
 
-    def __init__(self, edge_ids, edge_indices, components):
+    def __init__(self, edge_ids, components):
         self.edge_ids = edge_ids
-        self.edge_indices = edge_indices
         self.components = components  # tuples (vertex idx, edge idx, circuit)
 
 
-def _unicyclic_components(g: Graph, edge_indices):
+def _unicyclic_components(g: Graph, edge_indices, circuits=None):
     """Components of (all vertices, these edges); None unless each one is
-    unicyclic and every vertex is covered by exactly its component."""
+    unicyclic and every vertex is covered by exactly its component.  Given a
+    dict `circuits` (circuit edge indices -> OrientedCircuit), components
+    with the same circuit share one instance, added there on first sight."""
     comps = _component_cells(g, range(len(g.vertices)), edge_indices)
     if any(len(vs) != len(es) for vs, es in comps):  # euler characteristic 0 per component
         return None
-    return tuple((vs, es, _orient_circuit(g, _circuit_edge_indices(g, es))) for vs, es in comps)
+    if circuits is None:
+        circuits = {}
+    out = []
+    for vs, es in comps:
+        key = tuple(_circuit_edge_indices(g, es))
+        if key not in circuits:
+            circuits[key] = _orient_circuit(g, key)
+        out.append((vs, es, circuits[key]))
+    return tuple(out)
 
 
-_candidate_cache: "weakref.WeakKeyDictionary[Graph, tuple]" = weakref.WeakKeyDictionary()
+def _rest_indices(tree: np.ndarray, m: int) -> np.ndarray:
+    """(F, m - n) non-tree edge indices, ascending, for (F, n) tree indices."""
+    keep = np.ones((len(tree), m), dtype=bool)
+    keep[np.arange(len(tree))[:, None], tree] = False
+    return (np.flatnonzero(keep) % m).reshape(len(tree), m - tree.shape[1])
 
 
-def _spanning_unicyclic_candidates(g: Graph) -> tuple:
+class _Census:
+    """The phase-independent census of one graph: its candidates, and as
+    arrays their tree edge indices `tree` (C, n) in edge-id order (the only
+    copy of them), the other edge indices `rest` (C, m - n), the distinct
+    `circuits`, and `slots` (C, k) mapping each candidate's components to
+    their circuits.  Candidates with fewer than k components point the
+    spare slots at len(circuits)."""
+
+    __slots__ = ("candidates", "edge_ids", "tree", "rest", "circuits", "slots")
+
+    def __init__(self, g: Graph, candidates, trees, circuits):
+        n, m = len(g.vertices), len(g.edges)
+        count = len(candidates)
+        self.candidates = candidates
+        self.edge_ids = tuple(c.edge_ids for c in candidates)
+        self.tree = np.array(trees, dtype=np.intp).reshape(count, n)
+        self.rest = (
+            _rest_indices(self.tree, m) if count else np.empty((0, max(m - n, 0)), dtype=np.intp)
+        )
+        self.circuits = tuple(circuits)
+        slot = {circ: i for i, circ in enumerate(self.circuits)}
+        rows = [[slot[circ] for *_, circ in cand.components] for cand in candidates]
+        k = max(map(len, rows), default=0)
+        rows = [r + [len(slot)] * (k - len(r)) for r in rows]
+        self.slots = np.array(rows, dtype=np.intp).reshape(count, k)
+
+
+_census_cache: "weakref.WeakKeyDictionary[Graph, _Census]" = weakref.WeakKeyDictionary()
+
+
+def _census(g: Graph) -> _Census:
     """All spanning unicyclic subgraphs, in lexicographic order of their
     sorted edge-id tuples.  Cached per graph: the census is phase independent,
     only the holonomy filter downstream depends on the bundle."""
-    cached = _candidate_cache.get(g)
+    cached = _census_cache.get(g)
     if cached is not None:
         return cached
     n, m = len(g.vertices), len(g.edges)
-    out = []
+    out, trees = [], []
+    circuits: dict[tuple[int, ...], OrientedCircuit] = {}
     if m >= n:
         order = sorted(range(m), key=lambda i: g.edges[i].id)
         masks = [(1 << t) | (1 << h) for t, h in g._ends]
@@ -108,13 +153,14 @@ def _spanning_unicyclic_candidates(g: Graph) -> tuple:
                 cover |= masks[ei]
             if cover != full:
                 continue
-            comps = _unicyclic_components(g, combo)
+            comps = _unicyclic_components(g, combo, circuits)
             if comps is None:
                 continue
             # `order` is by edge id, so combo lists its edges in id order
-            out.append(_Candidate(tuple(g.edges[ei].id for ei in combo), combo, comps))
-    result = tuple(out)
-    _candidate_cache[g] = result
+            out.append(_Candidate(tuple(g.edges[ei].id for ei in combo), comps))
+            trees.append(combo)
+    result = _Census(g, tuple(out), trees, circuits.values())
+    _census_cache[g] = result
     return result
 
 
@@ -157,6 +203,7 @@ def _record_from_candidate(
     L: LineBundle,
     R: ResistanceMap,
     cand: _Candidate,
+    edge_indices: tuple[int, ...],
     hols,
 ) -> ForestRecord:
     comps = []
@@ -174,24 +221,68 @@ def _record_from_candidate(
     weight = rho
     for b in cand.edge_ids:
         weight /= R.r(b)
-    return ForestRecord(cand.edge_ids, tuple(comps), rho, weight, cand.edge_indices, g, L, R)
+    return ForestRecord(cand.edge_ids, tuple(comps), rho, weight, edge_indices, g, L, R)
 
 
-def _warn_near_trivial(g: Graph, L: LineBundle, weak: list, eps_hol: float) -> None:
+def _warn_near_trivial(g: Graph, L: LineBundle, weak, count: int, eps_hol: float, stacklevel):
     details = []
-    for cand in weak[:3]:
-        sub = g.spanning_subcomplex(cand.edge_ids)
+    for ids in weak:
+        sub = g.spanning_subcomplex(ids)
         cond = float(np.linalg.cond(boundary_operator(g, L, sub).matrix))
-        details.append(f"{cand.edge_ids!r} (cond {cond:.3e})")
-    more = "" if len(weak) <= 3 else f" and {len(weak) - 3} more"
+        details.append(f"{ids!r} (cond {cond:.3e})")
+    more = "" if count <= 3 else f" and {count - 3} more"
     warnings.warn(
-        f"{len(weak)} spanning unicyclic subgraph(s) excluded: circuit holonomy "
+        f"{count} spanning unicyclic subgraph(s) excluded: circuit holonomy "
         f"within {eps_hol:g} of 1 makes the tree system ill conditioned: "
         + "; ".join(details)
         + more,
         ConditioningWarning,
-        stacklevel=3,
+        stacklevel=stacklevel,
     )
+
+
+class _Admitted(NamedTuple):
+    """One bundle's holonomy filter over a census, one row per candidate:
+    the admitted mask `ok` (C,), the circuit holonomies `hol` (C, k) with 0j
+    in spare slots, `rho` (C,) = prod |hol - 1|^2 and `weight` (C,)."""
+
+    census: _Census
+    ok: np.ndarray
+    hol: np.ndarray
+    rho: np.ndarray
+    weight: np.ndarray
+
+
+def _admitted(
+    g: Graph, L: LineBundle, R: ResistanceMap, eps_hol: float, stacklevel: int = 2
+) -> _Admitted:
+    """The filter behind every forest sum, as arithmetic over the distinct
+    circuits: one `holonomy` call per circuit, then gathers.  The products
+    run in the same order, on the same Python floats, as a record's own, so
+    every value matches `enumerate_forests` bit for bit.  A near-trivial
+    exclusion warns as `warnings.warn(..., stacklevel)` called here would
+    (2: at the caller)."""
+    if not h0_trivial(g, L).trivial:
+        raise AssumptionViolatedError("ambient twisted degree-0 homology is nonzero")
+    c = _census(g)
+    hols = [holonomy(L, circ) for circ in c.circuits]
+    gaps = np.array([abs(h - 1.0) for h in hols] + [np.inf])  # spare slots pass
+    ok = (gaps[c.slots] > eps_hol).all(axis=1)
+    factors = np.array([abs(h - 1.0) ** 2 for h in hols] + [1.0])
+    rho = np.ones(len(c.candidates))
+    for j in range(c.slots.shape[1]):
+        rho = rho * factors[c.slots[:, j]]
+    r = R.diagonal(edge_basis(g))
+    weight = rho
+    with np.errstate(over="ignore"):  # overflow to inf silently, as Python floats do
+        for j in range(c.tree.shape[1]):
+            weight = weight / r[c.tree[:, j]]
+    weak = np.flatnonzero(~ok)
+    if len(weak):
+        _warn_near_trivial(
+            g, L, [c.edge_ids[i] for i in weak[:3]], len(weak), eps_hol, stacklevel + 1
+        )
+    return _Admitted(c, ok, np.array(hols + [0j])[c.slots], rho, weight)
 
 
 def enumerate_forests(
@@ -206,23 +297,19 @@ def enumerate_forests(
     AssumptionViolatedError when the ambient twisted degree-0 homology is
     nonzero; when it vanishes but every candidate fails the holonomy
     threshold, returns an empty list (a ConditioningWarning is emitted for
-    near-trivial candidates).
+    near-trivial candidates).  This is the record view of the filter the
+    identities in `theorems` read as arrays.
     """
-    if not h0_trivial(g, L).trivial:
-        raise AssumptionViolatedError("ambient twisted degree-0 homology is nonzero")
     if R is None:
         R = ResistanceMap.unit(g)
-    out = []
-    weak = []
-    for cand in _spanning_unicyclic_candidates(g):
-        hols = [holonomy(L, circ) for _, _, circ in cand.components]
-        if all(abs(h - 1.0) > eps_hol for h in hols):
-            out.append(_record_from_candidate(g, L, R, cand, hols))
-        else:
-            weak.append(cand)
-    if weak:
-        _warn_near_trivial(g, L, weak, eps_hol)
-    return out
+    a = _admitted(g, L, R, eps_hol, stacklevel=3)
+    c = a.census
+    return [
+        _record_from_candidate(
+            g, L, R, c.candidates[i], tuple(c.tree[i].tolist()), a.hol[i].tolist()
+        )
+        for i in np.flatnonzero(a.ok).tolist()
+    ]
 
 
 def forest_record(
@@ -237,24 +324,17 @@ def forest_record(
     comps = _unicyclic_components(g, [g.edge_index(b) for b in ids])
     if comps is None:
         raise ValueError(f"edge set {ids!r} is not a spanning union of unicyclic components")
-    cand = _Candidate(ids, tuple(g.edge_index(b) for b in ids), comps)
+    cand = _Candidate(ids, comps)
     hols = [holonomy(L, circ) for _, _, circ in cand.components]
     for h in hols:
         if abs(h - 1.0) <= eps_hol:
             raise ValueError(f"circuit holonomy {h!r} is within {eps_hol:g} of 1")
-    return _record_from_candidate(g, L, R, cand, hols)
+    return _record_from_candidate(g, L, R, cand, tuple(g.edge_index(b) for b in ids), hols)
 
 
 # Forests per chunk: c*n*m <= _CHUNK_ENTRIES keeps a chunk's ~5*c*n*m complex
 # numbers (tree blocks, right-hand sides, solutions, residuals) near 1 MB.
 _CHUNK_ENTRIES = 1 << 13
-
-
-def _rest_indices(tree: np.ndarray, m: int) -> np.ndarray:
-    """(F, m - n) non-tree edge indices, ascending, for (F, n) tree indices."""
-    keep = np.ones((len(tree), m), dtype=bool)
-    keep[np.arange(len(tree))[:, None], tree] = False
-    return np.nonzero(keep)[1].reshape(len(tree), m - tree.shape[1])
 
 
 def _tbar_sum(D, tree, rest, weights, tol: float = 1e-9, V=None):

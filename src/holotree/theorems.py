@@ -32,7 +32,7 @@ from .chains import (
     laplacian,
 )
 from .errors import BasisMismatchError, InvalidWError, NoForestsError, UnknownEdgeError
-from .forests import ForestRecord, _rest_indices, _tbar_sum, enumerate_forests
+from .forests import ForestRecord, _admitted, _tbar_sum
 from .graphs import Graph
 
 _TINY = 1e-300
@@ -58,13 +58,13 @@ def oracle_projection(g: Graph, L: LineBundle, R: ResistanceMap, tol=None) -> Li
     return LinearOperator(P, 1, basis, 1, basis)
 
 
-def _forest_sum_operator(g, L, forests, V=None):
-    """Sum_T w_T T_bar_T, Sum_T w_T and, for a voltage V, Sum_T w_T T_bar_T^H V."""
-    tree = np.array([T.edge_indices for T in forests])
-    weights = np.array([T.weight for T in forests])
-    rest = _rest_indices(tree, len(g.edges))
-    acc, adj = _tbar_sum(boundary_operator(g, L).matrix, tree, rest, weights, V=V)
-    return acc, sum(T.weight for T in forests), adj
+def _forest_sum_operator(g, L, adm, V=None):
+    """Sum_T w_T T_bar_T, Sum_T w_T and, for a voltage V, Sum_T w_T T_bar_T^H V
+    over the forests admitted in `adm`; Sum_T w_T is added left to right."""
+    c, ok = adm.census, adm.ok
+    w = adm.weight[ok]
+    acc, adj = _tbar_sum(boundary_operator(g, L).matrix, c.tree[ok], c.rest[ok], w, V=V)
+    return acc, sum(w.tolist()), adj
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,18 @@ def kirchhoff_projection(
     tol=None,
 ) -> ProjectionReport:
     """Weighted forest average of T_bar, checked against oracle_projection."""
-    forests = enumerate_forests(g, L, R, eps_hol)
-    if not forests:
+    adm = _admitted(g, L, R, eps_hol)
+    count = int(np.count_nonzero(adm.ok))
+    if not count:
         raise NoForestsError(
             "no forest cleared the holonomy threshold; the forest average is undefined"
         )
-    acc, delta, _ = _forest_sum_operator(g, L, forests)
+    acc, delta, _ = _forest_sum_operator(g, L, adm)
     basis = edge_basis(g)
     P = LinearOperator(acc / delta, 1, basis, 1, basis)
     oracle = oracle_projection(g, L, R, tol)
     disc = float(np.abs(P.matrix - oracle.matrix).max(initial=0.0))
-    return ProjectionReport(P, oracle, delta, len(forests), disc)
+    return ProjectionReport(P, oracle, delta, count, disc)
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,10 @@ def solve_network(
     basis = edge_basis(g)
     if V.degree != 1 or V.basis != basis:
         raise BasisMismatchError("voltage must be a degree-1 chain on the graph's edge basis")
-    forests = enumerate_forests(g, L, R, eps_hol)
-    if not forests:
+    adm = _admitted(g, L, R, eps_hol)
+    if not adm.ok.any():
         raise NoForestsError("no forest cleared the holonomy threshold")
-    acc, delta, acc2 = _forest_sum_operator(g, L, forests, V.coeffs)
+    acc, delta, acc2 = _forest_sum_operator(g, L, adm, V.coeffs)
     r = R.diagonal(basis)
     z = (acc / delta) @ (V.coeffs / r)
     # independent route: <z, b> = (1/delta) sum_T (w_T / r_b) <V, T_bar(b)>
@@ -170,24 +171,24 @@ def matrix_tree_report(
     assumption fails (or every candidate is below the holonomy threshold)
     the census is empty and the determinant is compared against zero.
     """
-    rep = h0_trivial(g, L, eps_hol=eps_hol)
-    forests = enumerate_forests(g, L, R, eps_hol) if rep.trivial else []
+    table = ()
+    if h0_trivial(g, L, eps_hol=eps_hol).trivial:
+        adm = _admitted(g, L, R, eps_hol)
+        admitted = np.flatnonzero(adm.ok)
+        ids = adm.census.edge_ids
+        table = tuple(zip([ids[i] for i in admitted], adm.weight[admitted].tolist()))
     det = determinant(laplacian(boundary_operator(g, L), R))
     det_val = float(det.value.real)
-    total = 0.0
-    table = []
-    for T in forests:
-        total += T.weight
-        table.append((T.edges, T.weight))
+    total = sum((w for _, w in table), 0.0)  # left to right, as the table reads
     rel = abs(det_val - total) / total if total > 0.0 else None
     return MatrixTreeReport(
         det_val,
         det.log_abs,
         total,
         rel,
-        len(forests),
-        tuple(table),
-        not forests,
+        len(table),
+        table,
+        not table,
     )
 
 
@@ -323,15 +324,17 @@ def gauge_invariance_check(
     d1 = determinant(laplacian(boundary_operator(g, L), R)).value.real
     d2 = determinant(laplacian(boundary_operator(g, L2), R)).value.real
     rel = abs(d1 - d2) / max(abs(d1), abs(d2), _TINY)
-    f1 = enumerate_forests(g, L, R, eps_hol)
-    f2 = enumerate_forests(g, L2, R, eps_hol)
-    census_equal = [T.edges for T in f1] == [T.edges for T in f2]
+    a1 = _admitted(g, L, R, eps_hol)
+    a2 = _admitted(g, L2, R, eps_hol)
+    census_equal = bool(np.array_equal(a1.ok, a2.ok))
     defect = float("inf")
     if census_equal:
-        defect = 0.0
-        for T1, T2 in zip(f1, f2):
-            for c1, c2 in zip(T1.components, T2.components):
-                defect = max(defect, abs(c1.holonomy - c2.holonomy))
-            defect = max(defect, abs(T1.weight - T2.weight) / max(T1.weight, _TINY))
+        dh = a1.hol[a1.ok] - a2.hol[a1.ok]
+        w1, w2 = a1.weight[a1.ok], a2.weight[a1.ok]
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, silently, as in Python
+            gaps = (np.hypot(dh.real, dh.imag).ravel(), np.abs(w1 - w2) / np.maximum(w1, _TINY))
+        # hypot is Python's abs(complex) bit for bit (np.abs is not); fmax skips inf - inf
+        defect = float(np.fmax.reduce(np.concatenate(gaps), initial=0.0))
     dims_equal = homology_dims(g, L) == homology_dims(g, L2)
-    return GaugeCheckReport(float(rel), census_equal, defect, dims_equal, len(f1))
+    count = int(np.count_nonzero(a1.ok))
+    return GaugeCheckReport(float(rel), census_equal, defect, dims_equal, count)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -223,6 +224,48 @@ def test_singular_tree_system_exits_3(theta_file, capsys, monkeypatch):
     rc, out, err = run_cli(capsys, ["project", theta_file])
     assert rc == 3 and out == ""
     assert json.loads(err)["error"]["type"] == "SingularTreeSystemError"
+
+
+def test_project_self_adjointness_is_relative_to_the_resistances(tmp_path, capsys):
+    # R P grows with R: at r = 1e+60 an absolute defect would read about 1e+44
+    p = tmp_path / "theta_big_r.graph"
+    p.write_text(THETA_TEXT.replace("resistance 1\n", "resistance 1e+60\n"))
+    rc, out, _ = run_cli(capsys, ["project", str(p)])
+    rep = json.loads(out)
+    assert rc == 0 and rep["passed"] is True
+    assert rep["self_adjointness_defect"] <= 1e-15
+
+
+NEAR_TRIVIAL_TEXT = THETA_TEXT.replace("phase 2.0943951023931953", "phase 1e-12")
+
+
+def test_warnings_are_json_lines_without_source_paths(tmp_path):
+    p = tmp_path / "near_trivial.graph"
+    p.write_text(NEAR_TRIVIAL_TEXT)
+    src = str(Path(holotree.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "holotree", "matrix-tree", str(p)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["forest_count"] == 2
+    assert '"ConditioningWarning"' in proc.stderr and ".py:" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    warning = json.loads(lines[0])["warning"]
+    assert warning["type"] == "ConditioningWarning"
+    assert warning["message"].startswith("1 spanning unicyclic subgraph(s) excluded")
+
+
+def test_warning_format_is_scoped_to_main(tmp_path, capsys):
+    p = tmp_path / "near_trivial.graph"
+    p.write_text(NEAR_TRIVIAL_TEXT)
+    original = warnings.formatwarning
+    with pytest.warns(ConditioningWarning):
+        rc, _, _ = run_cli(capsys, ["forests", str(p)])
+    assert rc == 0 and warnings.formatwarning is original
+    rc, _, _ = run_cli(capsys, ["forests", str(tmp_path / "missing.graph")])
+    assert rc == 2 and warnings.formatwarning is original
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

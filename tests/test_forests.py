@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from holotree import (
     AssumptionViolatedError,
     ConditioningWarning,
+    Gauge,
     ResistanceMap,
     SingularTreeSystemError,
     UnknownEdgeError,
@@ -14,18 +17,23 @@ from holotree import (
     enumerate_forests,
     exchange,
     forest_record,
+    gauge_invariance_check,
     h0_trivial,
     is_tree_combinatorial,
     is_tree_homological,
     kernel_basis,
+    kirchhoff_projection,
+    matrix_tree_report,
     modified_ip,
+    solve_network,
     standard_ip,
     tbar_chain,
     tbar_operator,
     unit_chain,
 )
 from holotree import forests as forests_mod
-from holotree.forests import _rest_indices, _tbar_sum
+from holotree.bundle import DEFAULT_EPS_HOL
+from holotree.forests import _admitted, _census, _rest_indices, _tbar_sum
 
 from conftest import TWO_PI, random_triple
 
@@ -82,6 +90,114 @@ def test_high_threshold_empties_the_census_with_warning(theta):
     with pytest.warns(ConditioningWarning, match="excluded"):
         forests = enumerate_forests(theta.graph, theta.bundle, eps_hol=2.0)
     assert forests == []
+
+
+def _admitted_rows(a):
+    """Per admitted forest: edges, tree indices, rest indices, holonomies
+    (spare slots dropped), rho and weight, as Python values."""
+    c, rows = a.census, []
+    for i in np.flatnonzero(a.ok):
+        k = len(c.candidates[i].components)
+        assert a.hol[i, k:].tolist() == [0j] * (a.hol.shape[1] - k)
+        rows.append((c.edge_ids[i], c.tree[i].tolist(), c.rest[i].tolist(),
+                     a.hol[i, :k].tolist(), a.rho[i].item(), a.weight[i].item()))
+    return rows
+
+
+def _record_rows(g, forests):
+    return [(T.edges, list(T.edge_indices),
+             [j for j in range(len(g.edges)) if j not in T.edge_indices],
+             [c.holonomy for c in T.components], T.rho_hat, T.weight) for T in forests]
+
+
+def test_admitted_arrays_equal_the_records(suite):
+    mixed = 0
+    for t in suite:
+        g = t.graph
+        c = _census(g)
+        assert len(set(c.circuits)) == len(c.circuits)
+        for cand, slots in zip(c.candidates, c.slots):
+            k = len(cand.components)
+            # one shared instance per distinct circuit
+            assert all(c.circuits[s] is circ for s, (*_, circ) in zip(slots, cand.components))
+            assert (slots[k:] == len(c.circuits)).all()
+        mixed += len({len(cand.components) for cand in c.candidates}) > 1
+        a = _admitted(g, t.bundle, t.resist, DEFAULT_EPS_HOL)
+        assert _admitted_rows(a) == _record_rows(g, t.forests), t
+    assert mixed >= 10  # censuses mixing component counts exercise the spare slots
+
+
+def test_high_threshold_exclusions_and_warning_text(suite):
+    mixed = 0
+    for t in suite[:20]:
+        g, L, R = t.graph, t.bundle, t.resist
+        cands = _census(g).candidates
+        kept = [cand.edge_ids for cand in cands if is_tree_combinatorial(g, L, cand.edge_ids, 1.0)]
+        weak = [cand.edge_ids for cand in cands if cand.edge_ids not in kept]
+        if not weak:
+            continue
+        mixed += bool(kept)
+        details = "; ".join(
+            f"{ids!r} (cond "
+            f"{np.linalg.cond(boundary_operator(g, L, g.spanning_subcomplex(ids)).matrix):.3e})"
+            for ids in weak[:3]
+        )
+        more = "" if len(weak) <= 3 else f" and {len(weak) - 3} more"
+        text = (f"{len(weak)} spanning unicyclic subgraph(s) excluded: circuit holonomy within "
+                f"1 of 1 makes the tree system ill conditioned: {details}{more}")
+        with pytest.warns(ConditioningWarning) as rec:
+            forests = enumerate_forests(g, L, R, eps_hol=1.0)
+        assert [str(w.message) for w in rec] == [text]
+        assert rec[0].filename == __file__  # attributed to the caller
+        assert [T.edges for T in forests] == kept
+        with pytest.warns(ConditioningWarning) as rec:
+            a = _admitted(g, L, R, 1.0)
+        assert [str(w.message) for w in rec] == [text]
+        assert _admitted_rows(a) == _record_rows(g, forests)
+    assert mixed >= 5  # graphs with both admitted and excluded candidates
+
+
+def test_overflowing_weights_are_inf_without_warnings(census_7_14):
+    # seven resistances of 1e-50 each overflow every weight, as Python floats do: silently
+    g, L, _ = census_7_14
+    R = ResistanceMap({e.id: 1e-50 for e in g.edges})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = _admitted(g, L, R, DEFAULT_EPS_HOL)
+        forests = enumerate_forests(g, L, R)
+    assert np.isinf(a.weight).all()
+    assert _admitted_rows(a) == _record_rows(g, forests)
+
+
+def test_one_holonomy_per_distinct_circuit(census_7_14, monkeypatch):
+    g, L, _ = census_7_14
+    c = _census(g)
+    assert len(c.circuits) < len(c.candidates)
+    calls = []
+    original = forests_mod.holonomy
+
+    def counting(bundle, circuit):
+        calls.append(circuit)
+        return original(bundle, circuit)
+
+    monkeypatch.setattr(forests_mod, "holonomy", counting)
+    rng = np.random.default_rng(38)
+    for _ in range(3):
+        Lb = attach_phases(g, {e.id: float(x) for e, x in zip(g.edges, rng.uniform(0, TWO_PI, 14))})
+        calls.clear()
+        a = _admitted(g, Lb, ResistanceMap.unit(g), DEFAULT_EPS_HOL)
+        assert calls == list(c.circuits)
+        calls.clear()
+        assert len(enumerate_forests(g, Lb)) == np.count_nonzero(a.ok)
+        assert calls == list(c.circuits)
+    # the four reports of one bundle filter five times (the gauge check twice)
+    calls.clear()
+    R, V = ResistanceMap.unit(g), unit_chain(1, edge_basis(g), g.edges[0].id)
+    matrix_tree_report(g, Lb, R)
+    kirchhoff_projection(g, Lb, R)
+    solve_network(g, Lb, R, V)
+    gauge_invariance_check(g, Lb, R, Gauge.from_angles({v: 1.0 for v in g.vertices}))
+    assert calls == 5 * list(c.circuits)
 
 
 def test_tree_predicates_on_examples(two_loops, theta):

@@ -16,8 +16,10 @@ from holotree import (
     boundary_operator,
     build_graph,
     edge_basis,
+    enumerate_forests,
     forest_record,
     gauge_invariance_check,
+    gauge_transform,
     kernel_basis,
     kirchhoff_projection,
     low_temp_demo,
@@ -30,6 +32,8 @@ from holotree import (
     unit_chain,
     vertex_basis,
 )
+
+from holotree import forests as forests_mod
 
 from conftest import random_triple
 
@@ -277,3 +281,47 @@ def test_gauge_check_random_gauges(theta):
         assert rep.det_relative_error <= 1e-10
         assert rep.holonomy_defect <= 1e-10
         assert rep.census_equal and rep.dims_equal
+
+
+def test_matrix_tree_table_matches_the_records(suite):
+    for t in suite:
+        rep = matrix_tree_report(t.graph, t.bundle, t.resist)
+        assert rep.weights == tuple((T.edges, T.weight) for T in t.forests), t
+        total = 0.0
+        for _, w in rep.weights:
+            total += w
+        assert rep.sum_weights == total, t
+
+
+def test_gauge_defect_matches_the_record_maximum(suite):
+    rng = np.random.default_rng(58)
+    for t in suite[:30]:
+        g, L, R = t.graph, t.bundle, t.resist
+        gauge = Gauge.from_angles(
+            {v: float(a) for v, a in zip(g.vertices, rng.uniform(0, 2 * np.pi, len(g.vertices)))})
+        rep = gauge_invariance_check(g, L, R, gauge)
+        f2 = enumerate_forests(g, gauge_transform(L, gauge), R)
+        assert rep.census_equal and [T.edges for T in f2] == [T.edges for T in t.forests]
+        ref = 0.0
+        for T1, T2 in zip(t.forests, f2):
+            for c1, c2 in zip(T1.components, T2.components):
+                ref = max(ref, abs(c1.holonomy - c2.holonomy))
+            ref = max(ref, abs(T1.weight - T2.weight) / T1.weight)
+        assert rep.holonomy_defect == ref, t
+        assert rep.forest_count == len(t.forests)
+
+
+def test_identities_build_no_forest_records(suite, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a forest record was built")
+
+    monkeypatch.setattr(forests_mod, "_record_from_candidate", fail)
+    monkeypatch.setattr(forests_mod, "enumerate_forests", fail)
+    t = suite[0]
+    g, L, R = t.graph, t.bundle, t.resist
+    gauge = Gauge.from_angles({v: 1.0 for v in g.vertices})
+    V = ChainVector(1, edge_basis(g), np.ones(len(g.edges), dtype=complex))
+    assert matrix_tree_report(g, L, R).forest_count > 0
+    assert kirchhoff_projection(g, L, R).max_entry_discrepancy <= 1e-9
+    assert solve_network(g, L, R, V).route_discrepancy <= 1e-9
+    assert gauge_invariance_check(g, L, R, gauge).census_equal
