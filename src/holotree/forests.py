@@ -52,9 +52,12 @@ class ForestComponent:
 class ForestRecord:
     """A spanning unicyclic subgraph with nontrivial circuit holonomies.
 
-    Edges are kept sorted lexicographically; `edge_indices` gives their
-    positions in the graph's edge list, in the same order.  The record holds
-    references to the graph, bundle and resistances it was built from.
+    A record is a view of one admitted row of the holonomy filter: its
+    holonomies, `rho_hat` and `weight` are read from the filter's arrays, not
+    computed again.  Edges are kept sorted lexicographically; `edge_indices`
+    gives their positions in the graph's edge list, in the same order.  The
+    record holds references to the graph, bundle and resistances it was built
+    from, which `exchange` reads to build its neighbours.
     """
 
     edges: tuple[str, ...]
@@ -67,14 +70,9 @@ class ForestRecord:
     resistances: ResistanceMap = field(repr=False)
 
 
-class _Candidate:
-    """Structural data of one spanning unicyclic subgraph (phase independent)."""
-
-    __slots__ = ("edge_ids", "components")
-
-    def __init__(self, edge_ids, components):
-        self.edge_ids = edge_ids
-        self.components = components  # tuples (vertex idx, edge idx, circuit)
+def _require_graph(g: Graph, T: ForestRecord) -> None:
+    if T.graph is not g:
+        raise ValueError("forest record belongs to a different graph")
 
 
 def _unicyclic_components(g: Graph, edge_indices, circuits=None):
@@ -97,34 +95,42 @@ def _unicyclic_components(g: Graph, edge_indices, circuits=None):
 
 
 def _rest_indices(tree: np.ndarray, m: int) -> np.ndarray:
-    """(F, m - n) non-tree edge indices, ascending, for (F, n) tree indices."""
+    """(F, m - n) non-tree edge indices, ascending, for (F, n) tree indices
+    (F = 0 when m < n)."""
     keep = np.ones((len(tree), m), dtype=bool)
     keep[np.arange(len(tree))[:, None], tree] = False
-    return (np.flatnonzero(keep) % m).reshape(len(tree), m - tree.shape[1])
+    return (np.flatnonzero(keep) % m).reshape(len(tree), max(m - tree.shape[1], 0))
 
 
 class _Census:
-    """The phase-independent census of one graph: its candidates, and as
-    arrays their tree edge indices `tree` (C, n) in edge-id order (the only
-    copy of them), the other edge indices `rest` (C, m - n), the distinct
-    `circuits`, and `slots` (C, k) mapping each candidate's components to
-    their circuits.  Candidates with fewer than k components point the
-    spare slots at len(circuits)."""
+    """The phase-independent structure of the edge-index tuples in `combos`
+    (each given in edge-id order) whose components are each unicyclic, one
+    row per kept candidate: `edge_ids`; the component `cells` (vertex
+    indices, edge indices), ordered by least vertex; the tree edge indices
+    `tree` (C, n); the other edge indices `rest` (C, m - n); the distinct
+    `circuits`, one shared instance each; and `slots` (C, k) mapping each
+    candidate's components to their circuits.  Candidates with fewer than k
+    components point the spare slots at len(circuits)."""
 
-    __slots__ = ("candidates", "edge_ids", "tree", "rest", "circuits", "slots")
+    __slots__ = ("edge_ids", "cells", "tree", "rest", "circuits", "slots")
 
-    def __init__(self, g: Graph, candidates, trees, circuits):
+    def __init__(self, g: Graph, combos):
         n, m = len(g.vertices), len(g.edges)
-        count = len(candidates)
-        self.candidates = candidates
-        self.edge_ids = tuple(c.edge_ids for c in candidates)
+        circuits: dict[tuple[int, ...], OrientedCircuit] = {}
+        slot: dict[OrientedCircuit, int] = {}  # in order of first sight, as `circuits`
+        trees, cells, rows = [], [], []
+        for combo in combos:
+            comps = _unicyclic_components(g, combo, circuits)
+            if comps is not None:
+                trees.append(combo)
+                cells.append(tuple((vs, es) for vs, es, _ in comps))
+                rows.append([slot.setdefault(circ, len(slot)) for *_, circ in comps])
+        count = len(trees)
+        self.edge_ids = tuple(tuple(g.edges[ei].id for ei in combo) for combo in trees)
+        self.cells = tuple(cells)
         self.tree = np.array(trees, dtype=np.intp).reshape(count, n)
-        self.rest = (
-            _rest_indices(self.tree, m) if count else np.empty((0, max(m - n, 0)), dtype=np.intp)
-        )
-        self.circuits = tuple(circuits)
-        slot = {circ: i for i, circ in enumerate(self.circuits)}
-        rows = [[slot[circ] for *_, circ in cand.components] for cand in candidates]
+        self.rest = _rest_indices(self.tree, m)
+        self.circuits = tuple(slot)
         k = max(map(len, rows), default=0)
         rows = [r + [len(slot)] * (k - len(r)) for r in rows]
         self.slots = np.array(rows, dtype=np.intp).reshape(count, k)
@@ -141,25 +147,18 @@ def _census(g: Graph) -> _Census:
     if cached is not None:
         return cached
     n, m = len(g.vertices), len(g.edges)
-    out, trees = [], []
-    circuits: dict[tuple[int, ...], OrientedCircuit] = {}
-    if m >= n:
-        order = sorted(range(m), key=lambda i: g.edges[i].id)
-        masks = [(1 << t) | (1 << h) for t, h in g._ends]
-        full = (1 << n) - 1
-        for combo in itertools.combinations(order, n):
-            cover = 0
-            for ei in combo:
-                cover |= masks[ei]
-            if cover != full:
-                continue
-            comps = _unicyclic_components(g, combo, circuits)
-            if comps is None:
-                continue
-            # `order` is by edge id, so combo lists its edges in id order
-            out.append(_Candidate(tuple(g.edges[ei].id for ei in combo), comps))
-            trees.append(combo)
-    result = _Census(g, tuple(out), trees, circuits.values())
+    masks = [(1 << t) | (1 << h) for t, h in g._ends]
+    full = (1 << n) - 1
+
+    def spans(combo):
+        cover = 0
+        for ei in combo:
+            cover |= masks[ei]
+        return cover == full
+
+    # combinations of `order` list their edges in id order, lexicographically
+    order = sorted(range(m), key=lambda i: g.edges[i].id)
+    result = _Census(g, filter(spans, itertools.combinations(order, n)))
     _census_cache[g] = result
     return result
 
@@ -198,32 +197,6 @@ def is_tree_homological(g: Graph, L: LineBundle, edges, tol=None) -> bool:
     return numerical_rank(M, tol) == n
 
 
-def _record_from_candidate(
-    g: Graph,
-    L: LineBundle,
-    R: ResistanceMap,
-    cand: _Candidate,
-    edge_indices: tuple[int, ...],
-    hols,
-) -> ForestRecord:
-    comps = []
-    rho = 1.0
-    for (vs, es, circ), h in zip(cand.components, hols):
-        rho *= abs(h - 1.0) ** 2
-        comps.append(
-            ForestComponent(
-                tuple(g.vertices[i] for i in vs),
-                tuple(g.edges[i].id for i in es),
-                circ,
-                h,
-            )
-        )
-    weight = rho
-    for b in cand.edge_ids:
-        weight /= R.r(b)
-    return ForestRecord(cand.edge_ids, tuple(comps), rho, weight, edge_indices, g, L, R)
-
-
 def _warn_near_trivial(g: Graph, L: LineBundle, weak, count: int, eps_hol: float, stacklevel):
     details = []
     for ids in weak:
@@ -253,23 +226,17 @@ class _Admitted(NamedTuple):
     weight: np.ndarray
 
 
-def _admitted(
-    g: Graph, L: LineBundle, R: ResistanceMap, eps_hol: float, stacklevel: int = 2
-) -> _Admitted:
-    """The filter behind every forest sum, as arithmetic over the distinct
-    circuits: one `holonomy` call per circuit, then gathers.  The products
-    run in the same order, on the same Python floats, as a record's own, so
-    every value matches `enumerate_forests` bit for bit.  A near-trivial
-    exclusion warns as `warnings.warn(..., stacklevel)` called here would
-    (2: at the caller)."""
-    if not h0_trivial(g, L).trivial:
-        raise AssumptionViolatedError("ambient twisted degree-0 homology is nonzero")
-    c = _census(g)
+def _filter(g: Graph, c: _Census, L: LineBundle, R: ResistanceMap, eps_hol: float) -> _Admitted:
+    """The holonomy filter and forest weights of census `c`, as arithmetic
+    over its distinct circuits: one `holonomy` call per circuit, then
+    gathers.  The products run left to right on the values Python floats
+    would take, over the components in order and then the tree edges in
+    edge-id order."""
     hols = [holonomy(L, circ) for circ in c.circuits]
     gaps = np.array([abs(h - 1.0) for h in hols] + [np.inf])  # spare slots pass
     ok = (gaps[c.slots] > eps_hol).all(axis=1)
     factors = np.array([abs(h - 1.0) ** 2 for h in hols] + [1.0])
-    rho = np.ones(len(c.candidates))
+    rho = np.ones(len(c.edge_ids))
     for j in range(c.slots.shape[1]):
         rho = rho * factors[c.slots[:, j]]
     r = R.diagonal(edge_basis(g))
@@ -277,12 +244,39 @@ def _admitted(
     with np.errstate(over="ignore"):  # overflow to inf silently, as Python floats do
         for j in range(c.tree.shape[1]):
             weight = weight / r[c.tree[:, j]]
-    weak = np.flatnonzero(~ok)
+    return _Admitted(c, ok, np.array(hols + [0j])[c.slots], rho, weight)
+
+
+def _admitted(
+    g: Graph, L: LineBundle, R: ResistanceMap, eps_hol: float, stacklevel: int = 2
+) -> _Admitted:
+    """The filter behind every forest sum: the h0 check, then `_filter` over
+    the graph's cached census.  A near-trivial exclusion warns as
+    `warnings.warn(..., stacklevel)` called here would (2: at the caller)."""
+    if not h0_trivial(g, L).trivial:
+        raise AssumptionViolatedError("ambient twisted degree-0 homology is nonzero")
+    a = _filter(g, _census(g), L, R, eps_hol)
+    weak = np.flatnonzero(~a.ok)
     if len(weak):
         _warn_near_trivial(
-            g, L, [c.edge_ids[i] for i in weak[:3]], len(weak), eps_hol, stacklevel + 1
+            g, L, [a.census.edge_ids[i] for i in weak[:3]], len(weak), eps_hol, stacklevel + 1
         )
-    return _Admitted(c, ok, np.array(hols + [0j])[c.slots], rho, weight)
+    return a
+
+
+def _records(g: Graph, L: LineBundle, R: ResistanceMap, a: _Admitted, rows) -> list[ForestRecord]:
+    """The records of the filter's rows `rows`, read from its arrays."""
+    c, rows = a.census, np.asarray(rows, dtype=np.intp)
+    columns = (c.tree[rows], c.slots[rows], a.hol[rows], a.rho[rows], a.weight[rows])
+    out = []
+    for i, tree, slots, hols, rho, weight in zip(rows.tolist(), *(x.tolist() for x in columns)):
+        comps = tuple(
+            ForestComponent(tuple(g.vertices[v] for v in vs), tuple(g.edges[e].id for e in es),
+                            c.circuits[s], h)
+            for (vs, es), s, h in zip(c.cells[i], slots, hols)
+        )
+        out.append(ForestRecord(c.edge_ids[i], comps, rho, weight, tuple(tree), g, L, R))
+    return out
 
 
 def enumerate_forests(
@@ -303,13 +297,7 @@ def enumerate_forests(
     if R is None:
         R = ResistanceMap.unit(g)
     a = _admitted(g, L, R, eps_hol, stacklevel=3)
-    c = a.census
-    return [
-        _record_from_candidate(
-            g, L, R, c.candidates[i], tuple(c.tree[i].tolist()), a.hol[i].tolist()
-        )
-        for i in np.flatnonzero(a.ok).tolist()
-    ]
+    return _records(g, L, R, a, np.flatnonzero(a.ok))
 
 
 def forest_record(
@@ -319,17 +307,17 @@ def forest_record(
     edges,
     eps_hol: float = DEFAULT_EPS_HOL,
 ) -> ForestRecord:
-    """Build the record for one explicit edge set, validating it fully."""
+    """Build the record for one explicit edge set, validating it fully: the
+    filter over a one-row census.  R needs a resistance for every edge."""
     ids = _edge_id_tuple(g, edges)
-    comps = _unicyclic_components(g, [g.edge_index(b) for b in ids])
-    if comps is None:
+    c = _Census(g, [tuple(g.edge_index(b) for b in ids)])
+    if not c.edge_ids:
         raise ValueError(f"edge set {ids!r} is not a spanning union of unicyclic components")
-    cand = _Candidate(ids, comps)
-    hols = [holonomy(L, circ) for _, _, circ in cand.components]
-    for h in hols:
-        if abs(h - 1.0) <= eps_hol:
-            raise ValueError(f"circuit holonomy {h!r} is within {eps_hol:g} of 1")
-    return _record_from_candidate(g, L, R, cand, tuple(g.edge_index(b) for b in ids), hols)
+    a = _filter(g, c, L, R, eps_hol)
+    if not a.ok[0]:
+        h = next(h for h in a.hol[0].tolist() if abs(h - 1.0) <= eps_hol)  # the first rejected
+        raise ValueError(f"circuit holonomy {h!r} is within {eps_hol:g} of 1")
+    return _records(g, L, R, a, [0])[0]
 
 
 # Forests per chunk: c*n*m <= _CHUNK_ENTRIES keeps a chunk's ~5*c*n*m complex
@@ -369,8 +357,7 @@ def tbar_operator(g: Graph, L: LineBundle, T: ForestRecord, tol: float = 1e-9) -
     Column b is the cycle T_bar(b) for non-tree edges and zero for tree
     edges: the one-forest, unit-weight case of the batched T_bar sum.
     """
-    if T.graph is not g:
-        raise ValueError("forest record belongs to a different graph")
+    _require_graph(g, T)
     tree = np.array([T.edge_indices])
     rest = _rest_indices(tree, len(g.edges))
     M, _ = _tbar_sum(boundary_operator(g, L).matrix, tree, rest, np.ones(1), tol)

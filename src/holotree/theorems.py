@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import DEFAULT_EPS_HOL, Gauge, LineBundle, gauge_transform, h0_trivial
+from .bundle import DEFAULT_EPS_HOL, Gauge, LineBundle, gauge_transform
 from .chains import (
     ChainVector,
     LinearOperator,
@@ -31,8 +31,14 @@ from .chains import (
     kernel_basis,
     laplacian,
 )
-from .errors import BasisMismatchError, InvalidWError, NoForestsError, UnknownEdgeError
-from .forests import ForestRecord, _admitted, _tbar_sum
+from .errors import (
+    AssumptionViolatedError,
+    BasisMismatchError,
+    InvalidWError,
+    NoForestsError,
+    UnknownEdgeError,
+)
+from .forests import ForestRecord, _admitted, _require_graph, _tbar_sum
 from .graphs import Graph
 
 _TINY = 1e-300
@@ -172,8 +178,11 @@ def matrix_tree_report(
     the census is empty and the determinant is compared against zero.
     """
     table = ()
-    if h0_trivial(g, L, eps_hol=eps_hol).trivial:
+    try:
         adm = _admitted(g, L, R, eps_hol)
+    except AssumptionViolatedError:
+        pass
+    else:
         admitted = np.flatnonzero(adm.ok)
         ids = adm.census.edge_ids
         table = tuple(zip([ids[i] for i in admitted], adm.weight[admitted].tolist()))
@@ -204,6 +213,7 @@ def tree_laplacian_identity(g: Graph, L: LineBundle, T: ForestRecord) -> TreeLap
 
     The restricted boundary is square, so this is |det(restricted boundary)|^2.
     """
+    _require_graph(g, T)
     sub = g.spanning_subcomplex(T.edges)
     bop = boundary_operator(g, L, sub)
     det = determinant(laplacian(bop, ResistanceMap.unit(g)))
@@ -265,6 +275,7 @@ def low_temp_demo(
     as beta grows; deviations at the 1e-15 level are determinant roundoff,
     which the monotonicity flag tolerates.
     """
+    _require_graph(g, T)
     if isinstance(W, str) and W == "auto":
         Wd = auto_weight_exponents(g, T)
     else:

@@ -23,12 +23,15 @@ from holotree import (
     is_tree_homological,
     kernel_basis,
     kirchhoff_projection,
+    low_temp_demo,
     matrix_tree_report,
     modified_ip,
+    rho_hat,
     solve_network,
     standard_ip,
     tbar_chain,
     tbar_operator,
+    tree_laplacian_identity,
     unit_chain,
 )
 from holotree import forests as forests_mod
@@ -97,7 +100,7 @@ def _admitted_rows(a):
     (spare slots dropped), rho and weight, as Python values."""
     c, rows = a.census, []
     for i in np.flatnonzero(a.ok):
-        k = len(c.candidates[i].components)
+        k = len(c.cells[i])
         assert a.hol[i, k:].tolist() == [0j] * (a.hol.shape[1] - k)
         rows.append((c.edge_ids[i], c.tree[i].tolist(), c.rest[i].tolist(),
                      a.hol[i, :k].tolist(), a.rho[i].item(), a.weight[i].item()))
@@ -116,14 +119,18 @@ def test_admitted_arrays_equal_the_records(suite):
         g = t.graph
         c = _census(g)
         assert len(set(c.circuits)) == len(c.circuits)
-        for cand, slots in zip(c.candidates, c.slots):
-            k = len(cand.components)
-            # one shared instance per distinct circuit
-            assert all(c.circuits[s] is circ for s, (*_, circ) in zip(slots, cand.components))
-            assert (slots[k:] == len(c.circuits)).all()
-        mixed += len({len(cand.components) for cand in c.candidates}) > 1
+        for cells, slots in zip(c.cells, c.slots):
+            assert (slots[len(cells):] == len(c.circuits)).all()
+        mixed += len({len(cells) for cells in c.cells}) > 1
         a = _admitted(g, t.bundle, t.resist, DEFAULT_EPS_HOL)
         assert _admitted_rows(a) == _record_rows(g, t.forests), t
+        for i, T in zip(np.flatnonzero(a.ok), t.forests):
+            assert [(comp.vertices, comp.edges) for comp in T.components] == [
+                (tuple(g.vertices[v] for v in vs), tuple(g.edges[e].id for e in es))
+                for vs, es in c.cells[i]
+            ]
+            # one shared instance per distinct circuit
+            assert all(comp.circuit is c.circuits[s] for comp, s in zip(T.components, c.slots[i]))
     assert mixed >= 10  # censuses mixing component counts exercise the spare slots
 
 
@@ -131,9 +138,9 @@ def test_high_threshold_exclusions_and_warning_text(suite):
     mixed = 0
     for t in suite[:20]:
         g, L, R = t.graph, t.bundle, t.resist
-        cands = _census(g).candidates
-        kept = [cand.edge_ids for cand in cands if is_tree_combinatorial(g, L, cand.edge_ids, 1.0)]
-        weak = [cand.edge_ids for cand in cands if cand.edge_ids not in kept]
+        cands = _census(g).edge_ids
+        kept = [ids for ids in cands if is_tree_combinatorial(g, L, ids, 1.0)]
+        weak = [ids for ids in cands if ids not in kept]
         if not weak:
             continue
         mixed += bool(kept)
@@ -172,7 +179,7 @@ def test_overflowing_weights_are_inf_without_warnings(census_7_14):
 def test_one_holonomy_per_distinct_circuit(census_7_14, monkeypatch):
     g, L, _ = census_7_14
     c = _census(g)
-    assert len(c.circuits) < len(c.candidates)
+    assert len(c.circuits) < len(c.edge_ids)
     calls = []
     original = forests_mod.holonomy
 
@@ -198,6 +205,35 @@ def test_one_holonomy_per_distinct_circuit(census_7_14, monkeypatch):
     solve_network(g, Lb, R, V)
     gauge_invariance_check(g, Lb, R, Gauge.from_angles({v: 1.0 for v in g.vertices}))
     assert calls == 5 * list(c.circuits)
+
+
+def test_record_arithmetic_matches_the_subcomplex_route(suite):
+    # bundle.rho_hat walks the subcomplex's own components and circuits
+    count = 0
+    for t in suite:
+        g, L, R = t.graph, t.bundle, t.resist
+        for T in t.forests:
+            assert T.rho_hat == rho_hat(L, g.spanning_subcomplex(T.edges)), (t, T.edges)
+            weight = T.rho_hat
+            for b in T.edges:
+                weight /= R.r(b)
+            assert T.weight == weight, (t, T.edges)
+            count += 1
+    assert count > 9000
+
+
+@pytest.mark.parametrize("eps_hol", [DEFAULT_EPS_HOL, 0.5, 1.5])
+def test_forest_record_equals_the_census_record(suite, eps_hol):
+    count = 0
+    for t in suite:
+        g, L, R = t.graph, t.bundle, t.resist
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            forests = enumerate_forests(g, L, R, eps_hol)
+        for T in forests:
+            assert forest_record(g, L, R, T.edges, eps_hol) == T, (t, T.edges)
+        count += len(forests)
+    assert count > 1000
 
 
 def test_tree_predicates_on_examples(two_loops, theta):
@@ -383,6 +419,18 @@ def test_tbar_operator_rejects_foreign_records(two_loops, theta):
     T = two_loops.forests[0]
     with pytest.raises(ValueError):
         tbar_operator(theta.graph, theta.bundle, T)
+
+
+def test_record_readers_reject_records_of_another_graph(theta):
+    # an equal-looking theta graph with other phases: its records are not theta's
+    g = build_graph(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "u", "v")])
+    L = attach_phases(g, {"a": 0.0, "b": 1.0, "c": 2.5})
+    T = theta.forests[0]
+    for check in (tbar_operator, tree_laplacian_identity, low_temp_demo):
+        with pytest.raises(ValueError, match="forest record belongs to a different graph"):
+            check(g, L, T)
+    own = forest_record(g, L, ResistanceMap.unit(g), T.edges)
+    assert tree_laplacian_identity(g, L, own).relative_error <= 1e-12
 
 
 def test_exchange_on_theta(theta):

@@ -8,6 +8,7 @@ from holotree import (
     ConditioningWarning,
     Gauge,
     InvalidWError,
+    MatrixTreeReport,
     NoForestsError,
     ResistanceMap,
     UnknownEdgeError,
@@ -33,7 +34,9 @@ from holotree import (
     vertex_basis,
 )
 
+from holotree import bundle as bundle_mod
 from holotree import forests as forests_mod
+from holotree import theorems as theorems_mod
 
 from conftest import random_triple
 
@@ -315,7 +318,7 @@ def test_identities_build_no_forest_records(suite, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a forest record was built")
 
-    monkeypatch.setattr(forests_mod, "_record_from_candidate", fail)
+    monkeypatch.setattr(forests_mod, "_records", fail)
     monkeypatch.setattr(forests_mod, "enumerate_forests", fail)
     t = suite[0]
     g, L, R = t.graph, t.bundle, t.resist
@@ -325,3 +328,42 @@ def test_identities_build_no_forest_records(suite, monkeypatch):
     assert kirchhoff_projection(g, L, R).max_entry_discrepancy <= 1e-9
     assert solve_network(g, L, R, V).route_discrepancy <= 1e-9
     assert gauge_invariance_check(g, L, R, gauge).census_equal
+
+
+def test_matrix_tree_report_checks_h0_once(suite, monkeypatch):
+    calls = []
+    original = bundle_mod.h0_trivial
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (bundle_mod, forests_mod, theorems_mod):
+        if hasattr(mod, "h0_trivial"):
+            monkeypatch.setattr(mod, "h0_trivial", counting)
+    t = suite[0]
+    g, L, R = t.graph, t.bundle, t.resist
+    assert matrix_tree_report(g, L, R).forest_count == len(t.forests)
+    assert len(calls) == 1
+    # the four reports of one bundle check h0 once per filter: five times
+    calls.clear()
+    V = ChainVector(1, edge_basis(g), np.ones(len(g.edges), dtype=complex))
+    matrix_tree_report(g, L, R)
+    kirchhoff_projection(g, L, R)
+    solve_network(g, L, R, V)
+    gauge_invariance_check(g, L, R, Gauge.from_angles({v: 1.0 for v in g.vertices}))
+    assert len(calls) == 5
+    # degenerate inputs are still reported, not rejected
+    calls.clear()
+    loop = build_graph(["v"], [("b", "v", "v")])
+    rep = matrix_tree_report(loop, attach_phases(loop, {"b": 0.0}), ResistanceMap.unit(loop))
+    assert len(calls) == 1
+    assert rep == MatrixTreeReport(0.0, -np.inf, 0.0, None, 0, (), True)
+    calls.clear()
+    theta = build_graph(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "u", "v")])
+    L0 = attach_phases(theta, {"a": 0.5, "b": 0.5, "c": 0.5})
+    rep = matrix_tree_report(theta, L0, ResistanceMap({"a": 1.0, "b": 2.0, "c": 4.0}))
+    assert len(calls) == 1
+    assert abs(rep.det_laplacian) <= 1e-12
+    assert (rep.sum_weights, rep.relative_error, rep.forest_count, rep.weights, rep.degenerate) == (
+        0.0, None, 0, (), True)
