@@ -215,11 +215,8 @@ def kernel_basis(op: LinearOperator, tol=None) -> list[ChainVector]:
     if n == 0:
         return []
     _, sv, vh = np.linalg.svd(M, full_matrices=True)
-    rank = _rank_of(sv, M.shape, tol)
-    return [
-        ChainVector(op.domain_degree, op.domain, vh[j].conj())
-        for j in range(rank, n)
-    ]
+    null = vh[_rank_of(sv, M.shape, tol):].conj()
+    return [ChainVector(op.domain_degree, op.domain, row) for row in null]
 
 
 def homology_dims(g: Graph, L: LineBundle, subc: Subcomplex | None = None) -> tuple[int, int]:

@@ -230,13 +230,13 @@ def _cmd_project(args):
     scale = max(1.0, m * smax)
     r = R.diagonal(edge_basis(g))
     RP = r[:, None] * P
-    D = boundary_operator(g, L).matrix
+    bop = boundary_operator(g, L)
     idem = float(np.abs(P @ P - P).max(initial=0.0))
     # R P grows with R, so its defect is measured relative to the largest r
     selfadj = float(np.abs(RP - RP.conj().T).max(initial=0.0)) / float(r.max())
-    bdefect = float(np.abs(D @ P).max(initial=0.0))
+    bdefect = float(np.abs(bop.matrix @ P).max(initial=0.0))
     kfix = 0.0
-    for k in kernel_basis(boundary_operator(g, L)):
+    for k in kernel_basis(bop):
         kfix = max(kfix, float(np.abs(P @ k.coeffs - k.coeffs).max(initial=0.0)))
     checks = {
         "max_entry_discrepancy": pr.max_entry_discrepancy,

@@ -325,14 +325,13 @@ def forest_record(
 _CHUNK_ENTRIES = 1 << 13
 
 
-def _tbar_sum(D, tree, rest, weights, tol: float = 1e-9, V=None):
+def _tbar_sum(D, tree, rest, weights, tol: float = 1e-9):
     """Sum_T w_T T_bar_T over the forests in the rows of `tree` (F, n), `rest`
-    (F, m - n) and `weights` (F,), and for a voltage V Sum_T w_T T_bar_T^H V,
-    each from the forest's own solve of D[:, tree] U = D[:, rest].  Entries
-    are summed in forest order, so the chunking does not change the result."""
+    (F, m - n) and `weights` (F,), each from the forest's own solve of
+    D[:, tree] U = D[:, rest].  Entries are summed in forest order, so the
+    chunking does not change the result."""
     m = D.shape[1]
     acc = np.zeros(m * m, dtype=complex)
-    adj = None if V is None else np.zeros(m, dtype=complex)
     step = max(1, _CHUNK_ENTRIES // D.size)
     for s in range(0, len(tree) if rest.shape[1] else 0, step):  # m == n: every T_bar is 0
         t, r, w = tree[s : s + step], rest[s : s + step], weights[s : s + step]
@@ -346,9 +345,7 @@ def _tbar_sum(D, tree, rest, weights, tol: float = 1e-9, V=None):
             raise SingularTreeSystemError("restricted boundary solve exceeded the residual tolerance")
         np.add.at(acc, r * (m + 1), w[:, None])  # unit diagonal of the non-tree columns
         np.add.at(acc, t[:, :, None] * m + r[:, None, :], w[:, None, None] * -U)
-        if V is not None:
-            np.add.at(adj, r, w[:, None] * (V[r] - np.einsum("fic,fi->fc", U.conj(), V[t])))
-    return acc.reshape(m, m), adj
+    return acc.reshape(m, m)
 
 
 def tbar_operator(g: Graph, L: LineBundle, T: ForestRecord, tol: float = 1e-9) -> LinearOperator:
@@ -360,7 +357,7 @@ def tbar_operator(g: Graph, L: LineBundle, T: ForestRecord, tol: float = 1e-9) -
     _require_graph(g, T)
     tree = np.array([T.edge_indices])
     rest = _rest_indices(tree, len(g.edges))
-    M, _ = _tbar_sum(boundary_operator(g, L).matrix, tree, rest, np.ones(1), tol)
+    M = _tbar_sum(boundary_operator(g, L).matrix, tree, rest, np.ones(1), tol)
     basis = edge_basis(g)
     return LinearOperator(M, 1, basis, 1, basis)
 

@@ -9,7 +9,7 @@ how far apart the two routes land:
 * the unique cycle z with V - Rz a coboundary is that projection applied to
   R^{-1} V, and its coefficients satisfy a per-edge forest-sum formula;
 * det(laplacian) equals the total forest weight;
-* det of one forest's restricted boundary Gram matrix equals its holonomy
+* |det|^2 of one forest's square restricted boundary equals its holonomy
   factor, and in the low-temperature family R_beta = exp(beta * W) the
   chosen forest's restricted Laplacian determinant dominates the full one.
 """
@@ -64,13 +64,13 @@ def oracle_projection(g: Graph, L: LineBundle, R: ResistanceMap, tol=None) -> Li
     return LinearOperator(P, 1, basis, 1, basis)
 
 
-def _forest_sum_operator(g, L, adm, V=None):
-    """Sum_T w_T T_bar_T, Sum_T w_T and, for a voltage V, Sum_T w_T T_bar_T^H V
-    over the forests admitted in `adm`; Sum_T w_T is added left to right."""
+def _forest_sum_operator(g, L, adm):
+    """Sum_T w_T T_bar_T and Sum_T w_T over the forests admitted in `adm`;
+    Sum_T w_T is added left to right."""
     c, ok = adm.census, adm.ok
     w = adm.weight[ok]
-    acc, adj = _tbar_sum(boundary_operator(g, L).matrix, c.tree[ok], c.rest[ok], w, V=V)
-    return acc, sum(w.tolist()), adj
+    acc = _tbar_sum(boundary_operator(g, L).matrix, c.tree[ok], c.rest[ok], w)
+    return acc, sum(w.tolist())
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def kirchhoff_projection(
         raise NoForestsError(
             "no forest cleared the holonomy threshold; the forest average is undefined"
         )
-    acc, delta, _ = _forest_sum_operator(g, L, adm)
+    acc, delta = _forest_sum_operator(g, L, adm)
     basis = edge_basis(g)
     P = LinearOperator(acc / delta, 1, basis, 1, basis)
     oracle = oracle_projection(g, L, R, tol)
@@ -108,8 +108,10 @@ def kirchhoff_projection(
 class NetworkSolution:
     """The cycle z with V - Rz orthogonal to every cycle.
 
-    `current` comes from the projection route, `formula_currents` from the
-    per-edge forest sum; the two are computed separately and compared.
+    `current` is P R^{-1} V for the forest-sum projection P, and
+    `formula_currents` the per-edge formula R^{-1} P^H V, so
+    `route_discrepancy` is P's R-self-adjointness defect applied to V.  The
+    check independent of the forests is `orthogonality_defect`.
     """
 
     voltage: ChainVector
@@ -134,11 +136,11 @@ def solve_network(
     adm = _admitted(g, L, R, eps_hol)
     if not adm.ok.any():
         raise NoForestsError("no forest cleared the holonomy threshold")
-    acc, delta, acc2 = _forest_sum_operator(g, L, adm, V.coeffs)
+    acc, delta = _forest_sum_operator(g, L, adm)
     r = R.diagonal(basis)
     z = (acc / delta) @ (V.coeffs / r)
-    # independent route: <z, b> = (1/delta) sum_T (w_T / r_b) <V, T_bar(b)>
-    z2 = acc2 / (delta * r)
+    # <z, b> = (1/delta) sum_T (w_T / r_b) <V, T_bar(b)>, the adjoint of the same sum
+    z2 = (acc.conj().T @ V.coeffs) / (delta * r)
     resid = V.coeffs - r * z
     kers = kernel_basis(boundary_operator(g, L), tol)
     orth = 0.0
@@ -211,13 +213,13 @@ class TreeLaplacianCheck:
 def tree_laplacian_identity(g: Graph, L: LineBundle, T: ForestRecord) -> TreeLaplacianCheck:
     """det of the forest's unit-resistance restricted Laplacian vs its holonomy factor.
 
-    The restricted boundary is square, so this is |det(restricted boundary)|^2.
+    The restricted boundary D_T is square, so this is |det D_T|^2, taken from
+    one LU of D_T: its Gram matrix would square cond(D_T).
     """
     _require_graph(g, T)
     sub = g.spanning_subcomplex(T.edges)
-    bop = boundary_operator(g, L, sub)
-    det = determinant(laplacian(bop, ResistanceMap.unit(g)))
-    v = float(det.value.real)
+    with np.errstate(over="ignore"):
+        v = float(np.exp(2.0 * determinant(boundary_operator(g, L, sub)).log_abs))
     rel = abs(v - T.rho_hat) / max(T.rho_hat, _TINY)
     return TreeLaplacianCheck(v, T.rho_hat, rel)
 

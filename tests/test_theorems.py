@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holotree import (
     AssumptionViolatedError,
@@ -29,6 +31,7 @@ from holotree import (
     oracle_projection,
     solve_network,
     standard_ip,
+    tbar_operator,
     tree_laplacian_identity,
     unit_chain,
     vertex_basis,
@@ -38,7 +41,7 @@ from holotree import bundle as bundle_mod
 from holotree import forests as forests_mod
 from holotree import theorems as theorems_mod
 
-from conftest import random_triple
+from conftest import TWO_PI, random_triple
 
 P_TWO_LOOPS = np.array(
     [[0.5, -0.5 - 0.5j],
@@ -88,6 +91,22 @@ def test_solve_network_two_loops(two_loops):
     assert sol.route_discrepancy <= 1e-10
     assert sol.orthogonality_defect <= 1e-10 * V.norm()
     assert np.allclose(sol.residual.coeffs, V.coeffs - two_loops.resist.diagonal(edge_basis(g)) * sol.current.coeffs)
+
+
+def test_formula_currents_match_the_per_forest_formula(suite):
+    # <z, b> = (1/delta) sum_T (w_T / r_b) <V, T_bar_T(b)>, forest by forest
+    rng = np.random.default_rng(37)
+    for t in suite:
+        g, L = t.graph, t.bundle
+        m = len(g.edges)
+        V = ChainVector(1, edge_basis(g), rng.normal(size=m) + 1j * rng.normal(size=m))
+        sol = solve_network(g, L, t.resist, V)
+        r = t.resist.diagonal(edge_basis(g))
+        delta = sum(T.weight for T in t.forests)
+        ref = sum(T.weight / r * (tbar_operator(g, L, T).matrix.conj().T @ V.coeffs)
+                  for T in t.forests) / delta
+        err = np.abs(sol.formula_currents - ref).max()
+        assert err <= 1e-12 * max(1.0, np.abs(ref).max()), t
 
 
 def test_solve_network_with_trivial_kernel_returns_zero(loop_pi):
@@ -186,6 +205,39 @@ def test_tree_laplacian_identity_multi_component():
     chk = tree_laplacian_identity(g, L, T)
     assert chk.rho_hat == pytest.approx(8.0)  # |i-1|^2 * |-2|^2
     assert chk.det_value == pytest.approx(8.0)
+
+
+@pytest.fixture(scope="module")
+def grid16():
+    k = 16
+    vs = [f"v{i}_{j}" for i in range(k) for j in range(k)]
+    es = [(f"h{i}_{j}", f"v{i}_{j}", f"v{i}_{j + 1}") for i in range(k) for j in range(k - 1)]
+    es += [(f"u{i}_{j}", f"v{i}_{j}", f"v{i + 1}_{j}") for i in range(k - 1) for j in range(k)]
+    return build_graph(vs, es)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    i=st.integers(0, 14),
+    j=st.integers(1, 15),
+    log_gap=st.floats(-5.0, -2.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_tree_laplacian_identity_near_trivial_holonomy(grid16, seed, i, j, log_gap, sign):
+    # the comb spanning tree (every row plus the first column) closed by edge
+    # u{i}_{j}: one circuit, its holonomy placed 10**log_gap from 1
+    g, R, b = grid16, ResistanceMap.unit(grid16), f"u{i}_{j}"
+    edges = [e.id for e in g.edges if e.id.startswith("h")] + [f"u{r}_0" for r in range(15)] + [b]
+    angles = dict(zip(edge_basis(g), np.random.default_rng(seed).uniform(0.0, TWO_PI, len(g.edges))))
+    (comp,) = forest_record(g, attach_phases(g, angles), R, edges).components
+    gap = 10.0**log_gap
+    target = sign * 2.0 * np.arcsin(gap / 2.0)  # |exp(i target) - 1| = gap
+    angles[b] += dict(comp.circuit.edges)[b] * (target - np.angle(comp.holonomy))
+    L = attach_phases(g, angles)
+    T = forest_record(g, L, R, edges)
+    assert abs(abs(T.components[0].holonomy - 1.0) - gap) <= 1e-6 * gap
+    assert tree_laplacian_identity(g, L, T).relative_error <= 1e-9
 
 
 def test_restricted_laplacian_prefactor():
