@@ -75,23 +75,21 @@ def _require_graph(g: Graph, T: ForestRecord) -> None:
         raise ValueError("forest record belongs to a different graph")
 
 
-def _unicyclic_components(g: Graph, edge_indices, circuits=None):
-    """Components of (all vertices, these edges); None unless each one is
-    unicyclic and every vertex is covered by exactly its component.  Given a
-    dict `circuits` (circuit edge indices -> OrientedCircuit), components
-    with the same circuit share one instance, added there on first sight."""
+def _unicyclic_circuits(g: Graph, edge_indices, circuits: dict):
+    """The circuits of the components of (all vertices, these edges), in
+    component order; None unless each component is unicyclic.  Components
+    with the same circuit share one instance from `circuits` (circuit edge
+    indices -> OrientedCircuit), added there on first sight."""
     comps = _component_cells(g, range(len(g.vertices)), edge_indices)
     if any(len(vs) != len(es) for vs, es in comps):  # euler characteristic 0 per component
         return None
-    if circuits is None:
-        circuits = {}
     out = []
-    for vs, es in comps:
+    for _, es in comps:
         key = tuple(_circuit_edge_indices(g, es))
         if key not in circuits:
             circuits[key] = _orient_circuit(g, key)
-        out.append((vs, es, circuits[key]))
-    return tuple(out)
+        out.append(circuits[key])
+    return out
 
 
 def _rest_indices(tree: np.ndarray, m: int) -> np.ndarray:
@@ -105,29 +103,30 @@ def _rest_indices(tree: np.ndarray, m: int) -> np.ndarray:
 class _Census:
     """The phase-independent structure of the edge-index tuples in `combos`
     (each given in edge-id order) whose components are each unicyclic, one
-    row per kept candidate: `edge_ids`; the component `cells` (vertex
-    indices, edge indices), ordered by least vertex; the tree edge indices
-    `tree` (C, n); the other edge indices `rest` (C, m - n); the distinct
-    `circuits`, one shared instance each; and `slots` (C, k) mapping each
-    candidate's components to their circuits.  Candidates with fewer than k
-    components point the spare slots at len(circuits)."""
+    row per kept candidate: `edge_ids`; the tree edge indices `tree` (C, n);
+    the other edge indices `rest` (C, m - n); the distinct `circuits`, one
+    shared instance each; and `slots` (C, k) mapping each candidate's
+    components, ordered by least vertex, to their circuits.  Candidates with
+    fewer than k components point the spare slots at len(circuits).
 
-    __slots__ = ("edge_ids", "cells", "tree", "rest", "circuits", "slots")
+    These are what the per-bundle identities read; records derive component
+    cells from the `tree` row.  `tree` also determines `edge_ids` and `rest`,
+    but deriving them per bundle would slow every report and T_bar sum."""
+
+    __slots__ = ("edge_ids", "tree", "rest", "circuits", "slots")
 
     def __init__(self, g: Graph, combos):
         n, m = len(g.vertices), len(g.edges)
         circuits: dict[tuple[int, ...], OrientedCircuit] = {}
         slot: dict[OrientedCircuit, int] = {}  # in order of first sight, as `circuits`
-        trees, cells, rows = [], [], []
+        trees, rows = [], []
         for combo in combos:
-            comps = _unicyclic_components(g, combo, circuits)
-            if comps is not None:
+            circs = _unicyclic_circuits(g, combo, circuits)
+            if circs is not None:
                 trees.append(combo)
-                cells.append(tuple((vs, es) for vs, es, _ in comps))
-                rows.append([slot.setdefault(circ, len(slot)) for *_, circ in comps])
+                rows.append([slot.setdefault(circ, len(slot)) for circ in circs])
         count = len(trees)
         self.edge_ids = tuple(tuple(g.edges[ei].id for ei in combo) for combo in trees)
-        self.cells = tuple(cells)
         self.tree = np.array(trees, dtype=np.intp).reshape(count, n)
         self.rest = _rest_indices(self.tree, m)
         self.circuits = tuple(slot)
@@ -174,10 +173,8 @@ def _edge_id_tuple(g: Graph, edges) -> tuple[str, ...]:
 def is_tree_combinatorial(g: Graph, L: LineBundle, edges, eps_hol: float = DEFAULT_EPS_HOL) -> bool:
     """Spanning, every component unicyclic, every circuit holonomy nontrivial."""
     ids = _edge_id_tuple(g, edges)
-    comps = _unicyclic_components(g, [g.edge_index(b) for b in ids])
-    if comps is None:
-        return False
-    return all(abs(holonomy(L, circ) - 1.0) > eps_hol for _, _, circ in comps)
+    circuits = _unicyclic_circuits(g, [g.edge_index(b) for b in ids], {})
+    return circuits is not None and all(abs(holonomy(L, c) - 1.0) > eps_hol for c in circuits)
 
 
 def is_tree_homological(g: Graph, L: LineBundle, edges, tol=None) -> bool:
@@ -197,12 +194,11 @@ def is_tree_homological(g: Graph, L: LineBundle, edges, tol=None) -> bool:
     return numerical_rank(M, tol) == n
 
 
-def _warn_near_trivial(g: Graph, L: LineBundle, weak, count: int, eps_hol: float, stacklevel):
-    details = []
-    for ids in weak:
-        sub = g.spanning_subcomplex(ids)
-        cond = float(np.linalg.cond(boundary_operator(g, L, sub).matrix))
-        details.append(f"{ids!r} (cond {cond:.3e})")
+def _warn_near_trivial(g: Graph, L: LineBundle, c: _Census, weak, eps_hol: float, stacklevel):
+    D, count = boundary_operator(g, L).matrix, len(weak)
+    # the restricted boundary of each row: its tree columns in graph order
+    details = [f"{c.edge_ids[i]!r} (cond {np.linalg.cond(D[:, np.sort(c.tree[i])]):.3e})"
+               for i in weak[:3]]
     more = "" if count <= 3 else f" and {count - 3} more"
     warnings.warn(
         f"{count} spanning unicyclic subgraph(s) excluded: circuit holonomy "
@@ -258,22 +254,22 @@ def _admitted(
     a = _filter(g, _census(g), L, R, eps_hol)
     weak = np.flatnonzero(~a.ok)
     if len(weak):
-        _warn_near_trivial(
-            g, L, [a.census.edge_ids[i] for i in weak[:3]], len(weak), eps_hol, stacklevel + 1
-        )
+        _warn_near_trivial(g, L, a.census, weak, eps_hol, stacklevel + 1)
     return a
 
 
 def _records(g: Graph, L: LineBundle, R: ResistanceMap, a: _Admitted, rows) -> list[ForestRecord]:
-    """The records of the filter's rows `rows`, read from its arrays."""
+    """The records of the filter's rows `rows`, read from its arrays; the
+    components come from each row's tree edges, as the census found them."""
     c, rows = a.census, np.asarray(rows, dtype=np.intp)
     columns = (c.tree[rows], c.slots[rows], a.hol[rows], a.rho[rows], a.weight[rows])
+    vertices = range(len(g.vertices))
     out = []
     for i, tree, slots, hols, rho, weight in zip(rows.tolist(), *(x.tolist() for x in columns)):
         comps = tuple(
             ForestComponent(tuple(g.vertices[v] for v in vs), tuple(g.edges[e].id for e in es),
                             c.circuits[s], h)
-            for (vs, es), s, h in zip(c.cells[i], slots, hols)
+            for (vs, es), s, h in zip(_component_cells(g, vertices, tree), slots, hols)
         )
         out.append(ForestRecord(c.edge_ids[i], comps, rho, weight, tuple(tree), g, L, R))
     return out

@@ -295,6 +295,8 @@ def low_temp_demo(
     tree_lds = []
     full_lds = []
     for beta in betas:
+        # the Gram product on purpose: its roundoff cancels against MF's, and one LU
+        # of A (2 log|det A| - beta * sum w_tree) does not; see ROADMAP 3(c)
         MT = (A * np.exp(-beta * w_tree)[None, :]) @ A.conj().T
         MF = (D * np.exp(-beta * w_full)[None, :]) @ D.conj().T
         _, ld_t = np.linalg.slogdet(MT)

@@ -57,6 +57,19 @@ def random_triple(rng, name="g"):
     return Triple(name, g, bundle, resist)
 
 
+def graph_7_14():
+    """A fixed (7, 14) multigraph with phases and resistances, and 1,246
+    spanning unicyclic candidates."""
+    rng = np.random.default_rng(36)
+    vs = [f"v{i}" for i in range(7)]
+    edges = [(f"e{i - 1}", vs[int(rng.integers(0, i))], vs[i]) for i in range(1, 7)]
+    edges += [(f"e{k}", *(vs[int(i)] for i in rng.integers(0, 7, 2))) for k in range(6, 14)]
+    g = build_graph(vs, edges)
+    L = attach_phases(g, {e.id: float(a) for e, a in zip(g.edges, rng.uniform(0.0, TWO_PI, 14))})
+    R = ResistanceMap({e.id: float(r) for e, r in zip(g.edges, rng.uniform(0.1, 10.0, 14))})
+    return g, L, R
+
+
 def make_suite(seed=SUITE_SEED, count=SUITE_SIZE):
     rng = np.random.default_rng(seed)
     out = []

@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 import holotree as ht
-from conftest import TWO_PI, make_suite
+from conftest import TWO_PI, graph_7_14, make_suite
 
 
 def _verdict(ok: bool, label: str, detail: str) -> None:
@@ -90,6 +90,58 @@ def test_network_routes_agree_and_residual_orthogonal(suite):
     _verdict(ok, "network solution routes",
              f"route discrepancy {worst_route:.3e}, residual orthogonality {worst_orth:.3e}")
     assert ok, (worst_route, worst_orth)
+
+
+def _cli_failures(g, L, R, V, gauge, tol=1e-9):
+    """The commands whose CLI pass rule fails on the four reports of one
+    bundle: `matrix-tree`, `project`, `solve` and `gauge-check`."""
+    failed = []
+    mt = ht.matrix_tree_report(g, L, R)
+    if not (mt.relative_error <= tol if mt.relative_error is not None
+            else abs(mt.det_laplacian) <= tol):
+        failed.append("matrix-tree")
+    P = ht.kirchhoff_projection(g, L, R)
+    M = P.projection.matrix
+    scale = max(1.0, M.shape[0] * float(np.linalg.svd(M, compute_uv=False)[0]))
+    r = R.diagonal(ht.edge_basis(g))
+    RP = r[:, None] * M
+    bop = ht.boundary_operator(g, L)
+    defects = [P.max_entry_discrepancy, np.abs(M @ M - M).max(),
+               np.abs(RP - RP.conj().T).max() / r.max(),  # relative to the largest r
+               np.abs(bop.matrix @ M).max()]
+    defects += [np.abs(M @ k.coeffs - k.coeffs).max() for k in ht.kernel_basis(bop)]
+    if not all(d <= tol * scale for d in defects):
+        failed.append("project")
+    sol = ht.solve_network(g, L, R, V)
+    vnorm = max(1.0, V.norm())
+    if not (sol.route_discrepancy <= tol * vnorm and sol.orthogonality_defect <= tol * vnorm):
+        failed.append("solve")
+    gch = ht.gauge_invariance_check(g, L, R, gauge)
+    if not (gch.census_equal and gch.dims_equal
+            and gch.det_relative_error <= tol and gch.holonomy_defect <= tol):
+        failed.append("gauge-check")
+    return failed
+
+
+def test_reports_pass_on_random_bundles_of_one_graph():
+    # one graph, a fresh bundle per seed: the census is cached and only the
+    # per-bundle work varies
+    g, _, _ = graph_7_14()
+    ids = ht.edge_basis(g)
+    failures = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        L = ht.attach_phases(g, dict(zip(ids, rng.uniform(0.0, TWO_PI, len(ids)).tolist())))
+        logr = rng.uniform(np.log(0.1), np.log(10.0), len(ids))
+        R = ht.ResistanceMap(dict(zip(ids, np.exp(logr).tolist())))
+        V = ht.ChainVector(1, ids, rng.normal(size=len(ids)) + 1j * rng.normal(size=len(ids)))
+        angles = rng.uniform(0.0, TWO_PI, len(g.vertices)).tolist()
+        gauge = ht.Gauge.from_angles(dict(zip(g.vertices, angles)))
+        failures += [(seed, cmd) for cmd in _cli_failures(g, L, R, V, gauge)]
+    ok = not failures
+    _verdict(ok, "CLI pass rules on 20 bundles of a (7, 14) graph",
+             "all pass" if ok else ", ".join(f"seed {s} {cmd}" for s, cmd in failures))
+    assert ok, failures
 
 
 def test_tree_predicates_agree_exhaustively(suite):

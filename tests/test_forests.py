@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,8 +38,9 @@ from holotree import (
 from holotree import forests as forests_mod
 from holotree.bundle import DEFAULT_EPS_HOL
 from holotree.forests import _admitted, _census, _rest_indices, _tbar_sum
+from holotree.graphs import _component_cells
 
-from conftest import TWO_PI, random_triple
+from conftest import TWO_PI, graph_7_14, random_triple
 
 
 def test_two_loop_census(two_loops):
@@ -95,12 +97,17 @@ def test_high_threshold_empties_the_census_with_warning(theta):
     assert forests == []
 
 
-def _admitted_rows(a):
+def _cells(g, tree):
+    """(vertex indices, edge indices) per component of a census tree row."""
+    return _component_cells(g, range(len(g.vertices)), tree.tolist())
+
+
+def _admitted_rows(g, a):
     """Per admitted forest: edges, tree indices, rest indices, holonomies
     (spare slots dropped), rho and weight, as Python values."""
     c, rows = a.census, []
     for i in np.flatnonzero(a.ok):
-        k = len(c.cells[i])
+        k = len(_cells(g, c.tree[i]))
         assert a.hol[i, k:].tolist() == [0j] * (a.hol.shape[1] - k)
         rows.append((c.edge_ids[i], c.tree[i].tolist(), c.rest[i].tolist(),
                      a.hol[i, :k].tolist(), a.rho[i].item(), a.weight[i].item()))
@@ -118,20 +125,36 @@ def test_admitted_arrays_equal_the_records(suite):
     for t in suite:
         g = t.graph
         c = _census(g)
+        cells = [_cells(g, tree) for tree in c.tree]
         assert len(set(c.circuits)) == len(c.circuits)
-        for cells, slots in zip(c.cells, c.slots):
-            assert (slots[len(cells):] == len(c.circuits)).all()
-        mixed += len({len(cells) for cells in c.cells}) > 1
+        for comps, slots in zip(cells, c.slots):
+            assert (slots[len(comps):] == len(c.circuits)).all()
+        mixed += len({len(comps) for comps in cells}) > 1
         a = _admitted(g, t.bundle, t.resist, DEFAULT_EPS_HOL)
-        assert _admitted_rows(a) == _record_rows(g, t.forests), t
+        assert _admitted_rows(g, a) == _record_rows(g, t.forests), t
         for i, T in zip(np.flatnonzero(a.ok), t.forests):
             assert [(comp.vertices, comp.edges) for comp in T.components] == [
                 (tuple(g.vertices[v] for v in vs), tuple(g.edges[e].id for e in es))
-                for vs, es in c.cells[i]
+                for vs, es in cells[i]
             ]
             # one shared instance per distinct circuit
             assert all(comp.circuit is c.circuits[s] for comp, s in zip(T.components, c.slots[i]))
     assert mixed >= 10  # censuses mixing component counts exercise the spare slots
+
+
+def test_census_memory_per_candidate():
+    # the cached census keeps its arrays, edge-id tuples and distinct circuits,
+    # not per-candidate component cells
+    g, _, _ = graph_7_14()  # a fresh graph: its census is not cached yet
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        c = _census(g)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(c.edge_ids) == 1246
+    assert kept <= 500 * len(c.edge_ids)
 
 
 def test_high_threshold_exclusions_and_warning_text(suite):
@@ -160,7 +183,7 @@ def test_high_threshold_exclusions_and_warning_text(suite):
         with pytest.warns(ConditioningWarning) as rec:
             a = _admitted(g, L, R, 1.0)
         assert [str(w.message) for w in rec] == [text]
-        assert _admitted_rows(a) == _record_rows(g, forests)
+        assert _admitted_rows(g, a) == _record_rows(g, forests)
     assert mixed >= 5  # graphs with both admitted and excluded candidates
 
 
@@ -173,7 +196,7 @@ def test_overflowing_weights_are_inf_without_warnings(census_7_14):
         a = _admitted(g, L, R, DEFAULT_EPS_HOL)
         forests = enumerate_forests(g, L, R)
     assert np.isinf(a.weight).all()
-    assert _admitted_rows(a) == _record_rows(g, forests)
+    assert _admitted_rows(g, a) == _record_rows(g, forests)
 
 
 def test_one_holonomy_per_distinct_circuit(census_7_14, monkeypatch):
@@ -341,14 +364,8 @@ def _batch(g, L, forests):
 
 @pytest.fixture(scope="module")
 def census_7_14():
-    """A (7, 14) multigraph with 1,300-odd forests: several default chunks."""
-    rng = np.random.default_rng(36)
-    vs = [f"v{i}" for i in range(7)]
-    edges = [(f"e{i - 1}", vs[int(rng.integers(0, i))], vs[i]) for i in range(1, 7)]
-    edges += [(f"e{k}", *(vs[int(i)] for i in rng.integers(0, 7, 2))) for k in range(6, 14)]
-    g = build_graph(vs, edges)
-    L = attach_phases(g, {e.id: float(a) for e, a in zip(g.edges, rng.uniform(0.0, TWO_PI, 14))})
-    R = ResistanceMap({e.id: float(r) for e, r in zip(g.edges, rng.uniform(0.1, 10.0, 14))})
+    """A (7, 14) multigraph with 1,246 forests: several default chunks."""
+    g, L, R = graph_7_14()
     return g, L, enumerate_forests(g, L, R)
 
 
