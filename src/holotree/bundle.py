@@ -30,10 +30,10 @@ from .graphs import (
     OrientedCircuit,
     Subcomplex,
     SubdivisionRecord,
+    _component_cells,
     circuit_of_unicyclic,
     components,
     euler_characteristic,
-    full_subcomplex,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -222,7 +222,7 @@ class H0Report:
 
 def h0_trivial(g: Graph, L: LineBundle, tol=None, eps_hol: float = DEFAULT_EPS_HOL) -> H0Report:
     """Check that twisted degree-0 homology vanishes.  Requires g connected."""
-    if len(components(full_subcomplex(g))) != 1:
+    if len(_component_cells(g, range(len(g.vertices)), range(len(g.edges)))) != 1:
         raise DisconnectedError("h0_trivial requires a connected graph")
     rank = numerical_rank(boundary_operator(g, L).matrix, tol)
     trivial = rank == len(g.vertices)

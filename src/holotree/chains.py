@@ -208,14 +208,14 @@ def numerical_rank(matrix: np.ndarray, tol=None) -> int:
     return _rank_of(np.linalg.svd(M, compute_uv=False), M.shape, tol)
 
 
-def kernel_basis(op: LinearOperator, tol=None) -> list[ChainVector]:
+def kernel_basis(op: LinearOperator) -> list[ChainVector]:
     """An orthonormal basis of ker(op) in the standard inner product."""
     M = op.matrix
     n = M.shape[1]
     if n == 0:
         return []
     _, sv, vh = np.linalg.svd(M, full_matrices=True)
-    null = vh[_rank_of(sv, M.shape, tol):].conj()
+    null = vh[_rank_of(sv, M.shape, None):].conj()
     return [ChainVector(op.domain_degree, op.domain, row) for row in null]
 
 

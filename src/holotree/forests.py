@@ -177,7 +177,7 @@ def is_tree_combinatorial(g: Graph, L: LineBundle, edges, eps_hol: float = DEFAU
     return circuits is not None and all(abs(holonomy(L, c) - 1.0) > eps_hol for c in circuits)
 
 
-def is_tree_homological(g: Graph, L: LineBundle, edges, tol=None) -> bool:
+def is_tree_homological(g: Graph, L: LineBundle, edges) -> bool:
     """Square restricted boundary with full numerical rank.
 
     Only meaningful under the standing assumption that the ambient twisted
@@ -191,7 +191,7 @@ def is_tree_homological(g: Graph, L: LineBundle, edges, tol=None) -> bool:
         return False
     sub = g.spanning_subcomplex(ids)
     M = boundary_operator(g, L, sub).matrix
-    return numerical_rank(M, tol) == n
+    return numerical_rank(M) == n
 
 
 def _warn_near_trivial(g: Graph, L: LineBundle, c: _Census, weak, eps_hol: float, stacklevel):
@@ -358,10 +358,10 @@ def tbar_operator(g: Graph, L: LineBundle, T: ForestRecord, tol: float = 1e-9) -
     return LinearOperator(M, 1, basis, 1, basis)
 
 
-def tbar_chain(g: Graph, L: LineBundle, T: ForestRecord, b: str, tol: float = 1e-9) -> ChainVector:
+def tbar_chain(g: Graph, L: LineBundle, T: ForestRecord, b: str) -> ChainVector:
     """T_bar(b): zero for b in T, else the unique cycle b - u with u on T."""
     j = g.edge_index(b)
-    return ChainVector(1, edge_basis(g), tbar_operator(g, L, T, tol).matrix[:, j].copy())
+    return ChainVector(1, edge_basis(g), tbar_operator(g, L, T).matrix[:, j].copy())
 
 
 def exchange(

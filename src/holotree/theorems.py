@@ -44,14 +44,14 @@ from .graphs import Graph
 _TINY = 1e-300
 
 
-def oracle_projection(g: Graph, L: LineBundle, R: ResistanceMap, tol=None) -> LinearOperator:
+def oracle_projection(g: Graph, L: LineBundle, R: ResistanceMap) -> LinearOperator:
     """Metric projection onto ker(boundary), built without any forest data.
 
     Uses an orthonormal kernel basis K and the Gram matrix of K in the
     resistance-weighted inner product: P = K (K* R K)^{-1} K* R.
     """
     bop = boundary_operator(g, L)
-    kers = kernel_basis(bop, tol)
+    kers = kernel_basis(bop)
     basis = edge_basis(g)
     m = len(basis)
     if not kers:
@@ -75,11 +75,19 @@ def _forest_sum_operator(g, L, adm):
 
 @dataclass(frozen=True)
 class ProjectionReport:
+    """P against the oracle, and P's defects as a projection; `holotree
+    project` passes when each is at most tol * scale, scale = max(1, m ||P||_2)."""
+
     projection: LinearOperator
     oracle: LinearOperator
     delta: float
     forest_count: int
     max_entry_discrepancy: float
+    idempotency_defect: float
+    self_adjointness_defect: float
+    boundary_defect: float
+    kernel_fix_defect: float
+    scale: float
 
 
 def kirchhoff_projection(
@@ -87,7 +95,6 @@ def kirchhoff_projection(
     L: LineBundle,
     R: ResistanceMap,
     eps_hol: float = DEFAULT_EPS_HOL,
-    tol=None,
 ) -> ProjectionReport:
     """Weighted forest average of T_bar, checked against oracle_projection."""
     adm = _admitted(g, L, R, eps_hol)
@@ -98,10 +105,22 @@ def kirchhoff_projection(
         )
     acc, delta = _forest_sum_operator(g, L, adm)
     basis = edge_basis(g)
-    P = LinearOperator(acc / delta, 1, basis, 1, basis)
-    oracle = oracle_projection(g, L, R, tol)
-    disc = float(np.abs(P.matrix - oracle.matrix).max(initial=0.0))
-    return ProjectionReport(P, oracle, delta, count, disc)
+    P = acc / delta
+    oracle = oracle_projection(g, L, R)
+    disc = float(np.abs(P - oracle.matrix).max(initial=0.0))
+    scale = max(1.0, len(basis) * float(np.linalg.svd(P, compute_uv=False)[0]))
+    r = R.diagonal(basis)
+    RP = r[:, None] * P
+    bop = boundary_operator(g, L)
+    idem = float(np.abs(P @ P - P).max(initial=0.0))
+    # R P grows with R, so its defect is measured relative to the largest r
+    selfadj = float(np.abs(RP - RP.conj().T).max(initial=0.0)) / float(r.max())
+    bdefect = float(np.abs(bop.matrix @ P).max(initial=0.0))
+    kfix = 0.0
+    for k in kernel_basis(bop):
+        kfix = max(kfix, float(np.abs(P @ k.coeffs - k.coeffs).max(initial=0.0)))
+    proj = LinearOperator(P, 1, basis, 1, basis)
+    return ProjectionReport(proj, oracle, delta, count, disc, idem, selfadj, bdefect, kfix, scale)
 
 
 @dataclass(frozen=True)
@@ -128,7 +147,6 @@ def solve_network(
     R: ResistanceMap,
     V: ChainVector,
     eps_hol: float = DEFAULT_EPS_HOL,
-    tol=None,
 ) -> NetworkSolution:
     basis = edge_basis(g)
     if V.degree != 1 or V.basis != basis:
@@ -142,7 +160,7 @@ def solve_network(
     # <z, b> = (1/delta) sum_T (w_T / r_b) <V, T_bar(b)>, the adjoint of the same sum
     z2 = (acc.conj().T @ V.coeffs) / (delta * r)
     resid = V.coeffs - r * z
-    kers = kernel_basis(boundary_operator(g, L), tol)
+    kers = kernel_basis(boundary_operator(g, L))
     orth = 0.0
     for k in kers:
         orth = max(orth, abs(complex(np.vdot(k.coeffs, resid))))

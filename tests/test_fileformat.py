@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holotree import (
     GraphSemanticError,
@@ -65,6 +67,43 @@ def test_round_trip_random_phases():
     for e in g.edges:
         assert L2.angle(e.id) == L.angle(e.id)  # .17g round-trips float64
         assert R2.r(e.id) == R.r(e.id)
+
+
+_IDS = st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True)
+
+
+@st.composite
+def _graph_texts(draw):
+    """A multigraph file with loops and parallel edges, its edges as
+    (id, tail, head, angle in [0, 2 pi), resistance log-uniform in [1e-300, 1e300])."""
+    vertices = draw(st.lists(_IDS, min_size=1, max_size=6, unique=True))
+    ids = draw(st.lists(_IDS, max_size=10, unique=True))
+    ends = st.sampled_from(vertices)
+    edges = [
+        (b, draw(ends), draw(ends), draw(st.floats(0.0, 2 * math.pi, exclude_max=True)),
+         10.0 ** draw(st.floats(-300.0, 300.0)))
+        for b in ids
+    ]
+    lines = [f"vertex {v}" for v in vertices]
+    lines += [f"edge {b} {t} {h} phase {a!r} resistance {r!r}" for b, t, h, a, r in edges]
+    return "\n".join(lines), vertices, edges
+
+
+@settings(derandomize=True, deadline=None)
+@given(_graph_texts())
+def test_round_trip_property(case):
+    text, vertices, edges = case
+    g, L, R = parse_graph_text(text)
+    assert g.vertices == tuple(vertices)
+    assert [(e.id, e.tail, e.head) for e in g.edges] == [(b, t, h) for b, t, h, _, _ in edges]
+    emitted = emit_graph_text(g, L, R)
+    g2, L2, R2 = parse_graph_text(emitted)
+    assert emit_graph_text(g2, L2, R2) == emitted
+    assert g2.vertices == g.vertices
+    for b, t, h, a, r in edges:
+        assert g2.edge(b).tail == t and g2.edge(b).head == h
+        assert L.angle(b).hex() == L2.angle(b).hex() == a.hex()
+        assert R.r(b).hex() == R2.r(b).hex() == r.hex()
 
 
 def test_phases_reduced_mod_two_pi():
