@@ -64,19 +64,27 @@ def oracle_projection(g: Graph, L: LineBundle, R: ResistanceMap) -> LinearOperat
     return LinearOperator(P, 1, basis, 1, basis)
 
 
+def _forest_total(adm) -> float:
+    """Delta = Sum_T w_T over the forests admitted in `adm`, added left to
+    right; no verdict may read a total that overflowed or underflowed."""
+    total = sum(adm.weight[adm.ok].tolist(), 0.0)
+    if adm.ok.any() and not 0.0 < total < np.inf:
+        raise FloatingPointError(f"forest weight total {total!r} overflowed or underflowed")
+    return total
+
+
 def _forest_sum_operator(g, L, adm):
-    """Sum_T w_T T_bar_T and Sum_T w_T over the forests admitted in `adm`;
-    Sum_T w_T is added left to right."""
+    """Sum_T w_T T_bar_T and Delta over the forests admitted in `adm`."""
     c, ok = adm.census, adm.ok
-    w = adm.weight[ok]
-    acc = _tbar_sum(boundary_operator(g, L).matrix, c.tree[ok], c.rest[ok], w)
-    return acc, sum(w.tolist())
+    delta = _forest_total(adm)
+    acc = _tbar_sum(boundary_operator(g, L).matrix, c.tree[ok], c.rest[ok], adm.weight[ok])
+    return acc, delta
 
 
 @dataclass(frozen=True)
 class ProjectionReport:
-    """P against the oracle, and P's defects as a projection; `holotree
-    project` passes when each is at most tol * scale, scale = max(1, m ||P||_2)."""
+    """P against the oracle, and P's defects as a projection; it passes when
+    each is at most tol * scale, scale = max(1, m ||P||_2)."""
 
     projection: LinearOperator
     oracle: LinearOperator
@@ -88,6 +96,11 @@ class ProjectionReport:
     boundary_defect: float
     kernel_fix_defect: float
     scale: float
+
+    def passed(self, tol: float) -> bool:
+        defects = (self.max_entry_discrepancy, self.idempotency_defect,
+                   self.self_adjointness_defect, self.boundary_defect, self.kernel_fix_defect)
+        return all(v <= tol * self.scale for v in defects)
 
 
 def kirchhoff_projection(
@@ -140,6 +153,10 @@ class NetworkSolution:
     route_discrepancy: float
     orthogonality_defect: float
 
+    def passed(self, tol: float) -> bool:
+        bound = tol * max(1.0, self.voltage.norm())
+        return self.route_discrepancy <= bound and self.orthogonality_defect <= bound
+
 
 def solve_network(
     g: Graph,
@@ -184,6 +201,12 @@ class MatrixTreeReport:
     weights: tuple[tuple[tuple[str, ...], float], ...]
     degenerate: bool
 
+    def passed(self, tol: float) -> bool:
+        if self.relative_error is None:
+            # no forest mass to compare against: the determinant itself must vanish
+            return abs(self.det_laplacian) <= tol
+        return self.relative_error <= tol
+
 
 def matrix_tree_report(
     g: Graph,
@@ -197,7 +220,7 @@ def matrix_tree_report(
     assumption fails (or every candidate is below the holonomy threshold)
     the census is empty and the determinant is compared against zero.
     """
-    table = ()
+    table, total = (), 0.0
     try:
         adm = _admitted(g, L, R, eps_hol)
     except AssumptionViolatedError:
@@ -206,9 +229,9 @@ def matrix_tree_report(
         admitted = np.flatnonzero(adm.ok)
         ids = adm.census.edge_ids
         table = tuple(zip([ids[i] for i in admitted], adm.weight[admitted].tolist()))
+        total = _forest_total(adm)
     det = determinant(laplacian(boundary_operator(g, L), R))
     det_val = float(det.value.real)
-    total = sum((w for _, w in table), 0.0)  # left to right, as the table reads
     rel = abs(det_val - total) / total if total > 0.0 else None
     return MatrixTreeReport(
         det_val,
@@ -280,6 +303,9 @@ class LowTempReport:
     tree_log_dets: tuple[float, ...]
     full_log_dets: tuple[float, ...]
 
+    def passed(self) -> bool:
+        return self.monotone and self.deviations[-1] < 1e-3
+
 
 def low_temp_demo(
     g: Graph,
@@ -343,6 +369,10 @@ class GaugeCheckReport:
     dims_equal: bool
     forest_count: int
 
+    def passed(self, tol: float) -> bool:
+        return (self.census_equal and self.dims_equal
+                and self.det_relative_error <= tol and self.holonomy_defect <= tol)
+
 
 def gauge_invariance_check(
     g: Graph,
@@ -359,6 +389,8 @@ def gauge_invariance_check(
     rel = abs(d1 - d2) / max(abs(d1), abs(d2), _TINY)
     a1 = _admitted(g, L, R, eps_hol)
     a2 = _admitted(g, L2, R, eps_hol)
+    for adm in (a1, a2):
+        _forest_total(adm)  # no weight comparison from an overflowed or underflowed census
     census_equal = bool(np.array_equal(a1.ok, a2.ok))
     defect = float("inf")
     if census_equal:

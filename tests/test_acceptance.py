@@ -102,27 +102,15 @@ def test_network_routes_agree_and_residual_orthogonal(suite):
 
 
 def _cli_failures(g, L, R, V, gauge, tol=1e-9):
-    """The commands whose CLI pass rule fails on the four reports of one
+    """The commands whose report does not pass, of the four that read one
     bundle: `matrix-tree`, `project`, `solve` and `gauge-check`."""
-    failed = []
-    mt = ht.matrix_tree_report(g, L, R)
-    if not (mt.relative_error <= tol if mt.relative_error is not None
-            else abs(mt.det_laplacian) <= tol):
-        failed.append("matrix-tree")
-    P = ht.kirchhoff_projection(g, L, R)
-    defects = [P.max_entry_discrepancy, P.idempotency_defect, P.self_adjointness_defect,
-               P.boundary_defect, P.kernel_fix_defect]
-    if not all(d <= tol * P.scale for d in defects):
-        failed.append("project")
-    sol = ht.solve_network(g, L, R, V)
-    vnorm = max(1.0, V.norm())
-    if not (sol.route_discrepancy <= tol * vnorm and sol.orthogonality_defect <= tol * vnorm):
-        failed.append("solve")
-    gch = ht.gauge_invariance_check(g, L, R, gauge)
-    if not (gch.census_equal and gch.dims_equal
-            and gch.det_relative_error <= tol and gch.holonomy_defect <= tol):
-        failed.append("gauge-check")
-    return failed
+    reports = {
+        "matrix-tree": ht.matrix_tree_report(g, L, R),
+        "project": ht.kirchhoff_projection(g, L, R),
+        "solve": ht.solve_network(g, L, R, V),
+        "gauge-check": ht.gauge_invariance_check(g, L, R, gauge),
+    }
+    return [cmd for cmd, rep in reports.items() if not rep.passed(tol)]
 
 
 def test_reports_pass_on_random_bundles_of_one_graph():
@@ -299,12 +287,11 @@ def test_low_temperature_ratio_converges(two_loops, theta):
         T = t.forests[0]
         rep = ht.low_temp_demo(t.graph, t.bundle, T, "auto", betas)
         results.append((t.name, rep))
-    ok = all(rep.monotone and rep.deviations[-1] < 1e-3 for _, rep in results)
+    ok = all(rep.passed() for _, rep in results)
     _verdict(ok, "low-temperature ratio",
              ", ".join(f"{name} final dev {rep.deviations[-1]:.3e}" for name, rep in results))
     for name, rep in results:
-        assert rep.monotone, (name, rep.deviations)
-        assert rep.deviations[-1] < 1e-3, (name, rep.deviations)
+        assert rep.passed(), (name, rep.monotone, rep.deviations)
 
 
 def test_closed_form_micro_examples():

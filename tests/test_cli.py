@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -206,14 +207,18 @@ def test_lowtemp_rejects_empty_or_nonfinite_beta(twoloop_file, capsys, beta):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
-def test_numerical_failure_exits_3(tmp_path, capsys):
-    # weights 3e-400 underflow to 0, so the forest average is nan and its SVD fails
+@pytest.mark.parametrize(
+    "argv",
+    [["matrix-tree"], ["project"], ["solve", "--voltage", "a=1"], ["gauge-check"]],
+    ids=["matrix-tree", "project", "solve", "gauge-check"],
+)
+def test_numerical_failure_exits_3(tmp_path, capsys, argv):
+    # weights 3e-400 underflow to 0: no verdict may read the zero forest total
     p = tmp_path / "theta_huge_r.graph"
     p.write_text(THETA_TEXT.replace("resistance 1\n", "resistance 1e+200\n"))
-    with pytest.warns(RuntimeWarning):
-        rc, out, err = run_cli(capsys, ["project", str(p)])
+    rc, out, err = run_cli(capsys, [argv[0], str(p), *argv[1:]])
     assert rc == 3 and out == ""
-    assert json.loads(err)["error"]["type"] == "LinAlgError"
+    assert json.loads(err)["error"]["type"] == "FloatingPointError"
 
 
 def test_singular_tree_system_exits_3(theta_file, capsys, monkeypatch):
@@ -283,6 +288,23 @@ def test_gauge_check_reports_seed(theta_file, capsys):
     assert rep["census_equal"] is True and rep["dims_equal"] is True
     assert rep["det_relative_error_max"] <= 1e-10
     assert rep["passed"] is True
+
+
+def test_gauge_check_reports_a_nan_and_fails(theta_file, capsys, monkeypatch):
+    # Python's max(x, nan) is x: the nan of the second gauge must not vanish
+    calls = []
+    check = holotree.cli.gauge_invariance_check
+
+    def second_is_nan(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        calls.append(rep)
+        return replace(rep, det_relative_error=float("nan")) if len(calls) == 2 else rep
+
+    monkeypatch.setattr(holotree.cli, "gauge_invariance_check", second_is_nan)
+    rc, out, _ = run_cli(capsys, ["gauge-check", theta_file, "--gauges", "3"])
+    assert rc == 1 and len(calls) == 3
+    assert '"det_relative_error_max": "nan"' in out
+    assert json.loads(out)["passed"] is False
 
 
 def test_table_format(theta_file, capsys):
