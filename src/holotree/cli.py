@@ -22,6 +22,7 @@ from .errors import DisconnectedError, HolotreeError, SingularTreeSystemError
 from .fileformat import parse_chain_text, parse_graph_text
 from .forests import enumerate_forests, forest_record
 from .theorems import (
+    _forest_total,
     gauge_invariance_check,
     kirchhoff_projection,
     low_temp_demo,
@@ -171,27 +172,23 @@ def _cmd_validate(args):
 def _cmd_forests(args):
     g, L, R = _load(args)
     forests = enumerate_forests(g, L, R, args.eps_hol)
-    rows = []
-    for T in forests:
-        rows.append(
-            {
-                "edges": list(T.edges),
-                "rho_hat": T.rho_hat,
-                "weight": T.weight,
-                "circuits": [
-                    {
-                        "walk": [[b, s] for b, s in c.circuit.edges],
-                        "holonomy": _complex_json(c.holonomy),
-                    }
-                    for c in T.components
-                ],
-            }
-        )
+    rows = [
+        {
+            "edges": list(T.edges),
+            "rho_hat": T.rho_hat,
+            "weight": T.weight,
+            "circuits": [
+                {"walk": [[b, s] for b, s in c.circuit.edges], "holonomy": _complex_json(c.holonomy)}
+                for c in T.components
+            ],
+        }
+        for T in forests
+    ]
     report = {
         "command": "forests",
         "file": args.file,
         "forest_count": len(forests),
-        "delta": float(sum(T.weight for T in forests)),
+        "delta": _forest_total([T.weight for T in forests]),
         "forests": rows,
     }
     return report, True

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bundle import DEFAULT_EPS_HOL, LineBundle, h0_trivial, holonomy
+from .bundle import DEFAULT_EPS_HOL, H0Report, LineBundle, h0_trivial, holonomy
 from .chains import (
     ChainVector,
     LinearOperator,
@@ -194,14 +194,13 @@ def is_tree_homological(g: Graph, L: LineBundle, edges) -> bool:
     return numerical_rank(M) == n
 
 
-def _warn_near_trivial(g: Graph, L: LineBundle, c: _Census, weak, eps_hol: float, stacklevel):
-    D, count = boundary_operator(g, L).matrix, len(weak)
+def _warn_near_trivial(D: np.ndarray, c: _Census, weak, eps_hol: float, stacklevel):
     # the restricted boundary of each row: its tree columns in graph order
     details = [f"{c.edge_ids[i]!r} (cond {np.linalg.cond(D[:, np.sort(c.tree[i])]):.3e})"
                for i in weak[:3]]
-    more = "" if count <= 3 else f" and {count - 3} more"
+    more = "" if len(weak) <= 3 else f" and {len(weak) - 3} more"
     warnings.warn(
-        f"{count} spanning unicyclic subgraph(s) excluded: circuit holonomy "
+        f"{len(weak)} spanning unicyclic subgraph(s) excluded: circuit holonomy "
         f"within {eps_hol:g} of 1 makes the tree system ill conditioned: "
         + "; ".join(details)
         + more,
@@ -213,13 +212,16 @@ def _warn_near_trivial(g: Graph, L: LineBundle, c: _Census, weak, eps_hol: float
 class _Admitted(NamedTuple):
     """One bundle's holonomy filter over a census, one row per candidate:
     the admitted mask `ok` (C,), the circuit holonomies `hol` (C, k) with 0j
-    in spare slots, `rho` (C,) = prod |hol - 1|^2 and `weight` (C,)."""
+    in spare slots, `rho` (C,) = prod |hol - 1|^2, `weight` (C,), and from
+    `_admitted` the bundle's `h0` check and boundary `bop`, which reports share."""
 
     census: _Census
     ok: np.ndarray
     hol: np.ndarray
     rho: np.ndarray
     weight: np.ndarray
+    h0: H0Report | None = None
+    bop: LinearOperator | None = None
 
 
 def _filter(g: Graph, c: _Census, L: LineBundle, R: ResistanceMap, eps_hol: float) -> _Admitted:
@@ -246,15 +248,16 @@ def _filter(g: Graph, c: _Census, L: LineBundle, R: ResistanceMap, eps_hol: floa
 def _admitted(
     g: Graph, L: LineBundle, R: ResistanceMap, eps_hol: float, stacklevel: int = 2
 ) -> _Admitted:
-    """The filter behind every forest sum: the h0 check, then `_filter` over
-    the graph's cached census.  A near-trivial exclusion warns as
-    `warnings.warn(..., stacklevel)` called here would (2: at the caller)."""
-    if not h0_trivial(g, L).trivial:
+    """The filter behind every forest sum: `_filter` over the graph's cached
+    census, with the h0 check and boundary it rests on.  A near-trivial
+    exclusion warns as `warnings.warn(..., stacklevel)` here would (2: at the caller)."""
+    h0 = h0_trivial(g, L)
+    if not h0.trivial:
         raise AssumptionViolatedError("ambient twisted degree-0 homology is nonzero")
-    a = _filter(g, _census(g), L, R, eps_hol)
+    a = _filter(g, _census(g), L, R, eps_hol)._replace(h0=h0, bop=boundary_operator(g, L))
     weak = np.flatnonzero(~a.ok)
     if len(weak):
-        _warn_near_trivial(g, L, a.census, weak, eps_hol, stacklevel + 1)
+        _warn_near_trivial(a.bop.matrix, a.census, weak, eps_hol, stacklevel + 1)
     return a
 
 

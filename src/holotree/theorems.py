@@ -27,7 +27,6 @@ from .chains import (
     boundary_operator,
     determinant,
     edge_basis,
-    homology_dims,
     kernel_basis,
     laplacian,
 )
@@ -53,32 +52,35 @@ def oracle_projection(g: Graph, L: LineBundle, R: ResistanceMap) -> LinearOperat
     bop = boundary_operator(g, L)
     kers = kernel_basis(bop)
     basis = edge_basis(g)
+    return _oracle(kers, R.diagonal(basis), basis)
+
+
+def _oracle(kers, r: np.ndarray, basis) -> LinearOperator:
+    """oracle_projection from the kernel basis `kers` and resistances `r`."""
     m = len(basis)
     if not kers:
         return LinearOperator(np.zeros((m, m), dtype=complex), 1, basis, 1, basis)
     K = np.column_stack([k.coeffs for k in kers])
-    r = R.diagonal(basis)
     KR = K.conj().T * r[None, :]
     G = KR @ K
     P = K @ np.linalg.solve(G, KR)
     return LinearOperator(P, 1, basis, 1, basis)
 
 
-def _forest_total(adm) -> float:
-    """Delta = Sum_T w_T over the forests admitted in `adm`, added left to
+def _forest_total(weights: list) -> float:
+    """Delta = Sum_T w_T over the admitted forests' weights, added left to
     right; no verdict may read a total that overflowed or underflowed."""
-    total = sum(adm.weight[adm.ok].tolist(), 0.0)
-    if adm.ok.any() and not 0.0 < total < np.inf:
+    total = sum(weights, 0.0)
+    if weights and not 0.0 < total < np.inf:
         raise FloatingPointError(f"forest weight total {total!r} overflowed or underflowed")
     return total
 
 
-def _forest_sum_operator(g, L, adm):
+def _forest_sum_operator(adm):
     """Sum_T w_T T_bar_T and Delta over the forests admitted in `adm`."""
     c, ok = adm.census, adm.ok
-    delta = _forest_total(adm)
-    acc = _tbar_sum(boundary_operator(g, L).matrix, c.tree[ok], c.rest[ok], adm.weight[ok])
-    return acc, delta
+    delta = _forest_total(adm.weight[ok].tolist())
+    return _tbar_sum(adm.bop.matrix, c.tree[ok], c.rest[ok], adm.weight[ok]), delta
 
 
 @dataclass(frozen=True)
@@ -116,21 +118,21 @@ def kirchhoff_projection(
         raise NoForestsError(
             "no forest cleared the holonomy threshold; the forest average is undefined"
         )
-    acc, delta = _forest_sum_operator(g, L, adm)
+    acc, delta = _forest_sum_operator(adm)
     basis = edge_basis(g)
     P = acc / delta
-    oracle = oracle_projection(g, L, R)
+    r = R.diagonal(basis)
+    kers = kernel_basis(adm.bop)  # the oracle's and the kernel-fix check's
+    oracle = _oracle(kers, r, basis)
     disc = float(np.abs(P - oracle.matrix).max(initial=0.0))
     scale = max(1.0, len(basis) * float(np.linalg.svd(P, compute_uv=False)[0]))
-    r = R.diagonal(basis)
     RP = r[:, None] * P
-    bop = boundary_operator(g, L)
     idem = float(np.abs(P @ P - P).max(initial=0.0))
     # R P grows with R, so its defect is measured relative to the largest r
     selfadj = float(np.abs(RP - RP.conj().T).max(initial=0.0)) / float(r.max())
-    bdefect = float(np.abs(bop.matrix @ P).max(initial=0.0))
+    bdefect = float(np.abs(adm.bop.matrix @ P).max(initial=0.0))
     kfix = 0.0
-    for k in kernel_basis(bop):
+    for k in kers:
         kfix = max(kfix, float(np.abs(P @ k.coeffs - k.coeffs).max(initial=0.0)))
     proj = LinearOperator(P, 1, basis, 1, basis)
     return ProjectionReport(proj, oracle, delta, count, disc, idem, selfadj, bdefect, kfix, scale)
@@ -171,15 +173,14 @@ def solve_network(
     adm = _admitted(g, L, R, eps_hol)
     if not adm.ok.any():
         raise NoForestsError("no forest cleared the holonomy threshold")
-    acc, delta = _forest_sum_operator(g, L, adm)
+    acc, delta = _forest_sum_operator(adm)
     r = R.diagonal(basis)
     z = (acc / delta) @ (V.coeffs / r)
     # <z, b> = (1/delta) sum_T (w_T / r_b) <V, T_bar(b)>, the adjoint of the same sum
     z2 = (acc.conj().T @ V.coeffs) / (delta * r)
     resid = V.coeffs - r * z
-    kers = kernel_basis(boundary_operator(g, L))
     orth = 0.0
-    for k in kers:
+    for k in kernel_basis(adm.bop):
         orth = max(orth, abs(complex(np.vdot(k.coeffs, resid))))
     return NetworkSolution(
         V,
@@ -224,13 +225,13 @@ def matrix_tree_report(
     try:
         adm = _admitted(g, L, R, eps_hol)
     except AssumptionViolatedError:
-        pass
+        bop = boundary_operator(g, L)
     else:
-        admitted = np.flatnonzero(adm.ok)
-        ids = adm.census.edge_ids
-        table = tuple(zip([ids[i] for i in admitted], adm.weight[admitted].tolist()))
-        total = _forest_total(adm)
-    det = determinant(laplacian(boundary_operator(g, L), R))
+        admitted, bop = np.flatnonzero(adm.ok), adm.bop
+        ids, weights = adm.census.edge_ids, adm.weight[admitted].tolist()
+        table = tuple(zip([ids[i] for i in admitted], weights))
+        total = _forest_total(weights)
+    det = determinant(laplacian(bop, R))
     det_val = float(det.value.real)
     rel = abs(det_val - total) / total if total > 0.0 else None
     return MatrixTreeReport(
@@ -381,16 +382,15 @@ def gauge_invariance_check(
     gauge: Gauge,
     eps_hol: float = DEFAULT_EPS_HOL,
 ) -> GaugeCheckReport:
-    """Everything observable must survive a gauge change: det(laplacian),
-    the forest census with weights, and the homology dimensions."""
+    """Everything observable must survive a gauge change: det(laplacian), the forest
+    census with weights, and the homology dimensions (`dims_equal`: the two h0 ranks)."""
     L2 = gauge_transform(L, gauge)
-    d1 = determinant(laplacian(boundary_operator(g, L), R)).value.real
-    d2 = determinant(laplacian(boundary_operator(g, L2), R)).value.real
-    rel = abs(d1 - d2) / max(abs(d1), abs(d2), _TINY)
     a1 = _admitted(g, L, R, eps_hol)
     a2 = _admitted(g, L2, R, eps_hol)
+    d1, d2 = (determinant(laplacian(a.bop, R)).value.real for a in (a1, a2))
+    rel = abs(d1 - d2) / max(abs(d1), abs(d2), _TINY)
     for adm in (a1, a2):
-        _forest_total(adm)  # no weight comparison from an overflowed or underflowed census
+        _forest_total(adm.weight[adm.ok].tolist())  # no comparison from an overflowed total
     census_equal = bool(np.array_equal(a1.ok, a2.ok))
     defect = float("inf")
     if census_equal:
@@ -400,6 +400,6 @@ def gauge_invariance_check(
             gaps = (np.hypot(dh.real, dh.imag).ravel(), np.abs(w1 - w2) / np.maximum(w1, _TINY))
         # hypot is Python's abs(complex) bit for bit (np.abs is not); fmax skips inf - inf
         defect = float(np.fmax.reduce(np.concatenate(gaps), initial=0.0))
-    dims_equal = homology_dims(g, L) == homology_dims(g, L2)
+    dims_equal = a1.h0.rank == a2.h0.rank
     count = int(np.count_nonzero(a1.ok))
     return GaugeCheckReport(float(rel), census_equal, defect, dims_equal, count)

@@ -209,8 +209,8 @@ def test_lowtemp_rejects_empty_or_nonfinite_beta(twoloop_file, capsys, beta):
 
 @pytest.mark.parametrize(
     "argv",
-    [["matrix-tree"], ["project"], ["solve", "--voltage", "a=1"], ["gauge-check"]],
-    ids=["matrix-tree", "project", "solve", "gauge-check"],
+    [["forests"], ["matrix-tree"], ["project"], ["solve", "--voltage", "a=1"], ["gauge-check"]],
+    ids=["forests", "matrix-tree", "project", "solve", "gauge-check"],
 )
 def test_numerical_failure_exits_3(tmp_path, capsys, argv):
     # weights 3e-400 underflow to 0: no verdict may read the zero forest total
