@@ -30,7 +30,6 @@ from .graphs import (
     OrientedCircuit,
     Subcomplex,
     SubdivisionRecord,
-    _component_cells,
     circuit_of_unicyclic,
     components,
     euler_characteristic,
@@ -122,7 +121,7 @@ class Gauge:
         vals = {}
         for v, z in values.items():
             z = complex(z)
-            if abs(abs(z) - 1.0) > 1e-12:
+            if not abs(abs(z) - 1.0) <= 1e-12:  # a nan modulus fails too
                 raise ValueError(f"gauge value at {v!r} is not unit modulus: {z!r}")
             vals[v] = z
         self._values = vals
@@ -167,9 +166,12 @@ def _max_fundamental_cycle_defect(g: Graph, L: LineBundle) -> float:
     """Gauge the phases to 1 along a spanning tree; the surviving non-tree
     phases are the fundamental cycle holonomies.  Returns max |phase - 1|.
 
-    Assumes g is connected.
+    Raises DisconnectedError unless g is connected with at least one vertex:
+    the spanning tree's walk must reach every vertex.
     """
     n = len(g.vertices)
+    if n == 0:
+        raise DisconnectedError("h0_trivial requires a connected graph")
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
     for j, (t, h) in enumerate(g._ends):
         adj[t].append((j, h))
@@ -191,6 +193,8 @@ def _max_fundamental_cycle_defect(g: Graph, L: LineBundle) -> float:
             visited[w] = True
             in_tree[j] = True
             queue.append(w)
+    if not all(visited):
+        raise DisconnectedError("h0_trivial requires a connected graph")
     worst = 0.0
     for j, (t, h) in enumerate(g._ends):
         if in_tree[j]:
@@ -222,11 +226,14 @@ class H0Report:
 
 def h0_trivial(g: Graph, L: LineBundle, tol=None, eps_hol: float = DEFAULT_EPS_HOL) -> H0Report:
     """Check that twisted degree-0 homology vanishes.  Requires g connected."""
-    if len(_component_cells(g, range(len(g.vertices)), range(len(g.edges)))) != 1:
-        raise DisconnectedError("h0_trivial requires a connected graph")
-    rank = numerical_rank(boundary_operator(g, L).matrix, tol)
-    trivial = rank == len(g.vertices)
+    return _h0_check(g, L, boundary_operator(g, L).matrix, tol, eps_hol)
+
+
+def _h0_check(g: Graph, L: LineBundle, D: np.ndarray, tol, eps_hol: float) -> H0Report:
+    """h0_trivial on the boundary matrix D of (g, L), which the caller holds."""
     defect = float(_max_fundamental_cycle_defect(g, L))
+    rank = numerical_rank(D, tol)
+    trivial = rank == len(g.vertices)
     hol = bool(defect > eps_hol)
     return H0Report(trivial, rank, len(g.vertices), defect, hol, trivial == hol)
 

@@ -142,7 +142,6 @@ def _complex_json(z: complex) -> dict:
 
 def _cmd_validate(args):
     g, L, R = _load(args)
-    dims = homology_dims(g, L)
     report = {
         "command": "validate",
         "file": args.file,
@@ -152,8 +151,10 @@ def _cmd_validate(args):
     try:
         rep = h0_trivial(g, L, eps_hol=args.eps_hol)
     except DisconnectedError:
+        dims = homology_dims(g, L)
         report.update({"connected": False, "h0_trivial": False})
     else:
+        dims = (len(g.vertices) - rep.rank, len(g.edges) - rep.rank)
         report.update(
             {
                 "connected": True,
@@ -377,6 +378,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
+        for flag, value in (("--tol", args.tol), ("--eps-hol", args.eps_hol)):
+            if not 0.0 <= value < float("inf"):
+                raise ValueError(f"{flag} must be finite and nonnegative, got {value!r}")
         report, passed = _COMMANDS[args.command](args)
     # LinAlgError is a ValueError: numerical failures are caught first
     except (np.linalg.LinAlgError, SingularTreeSystemError, FloatingPointError) as exc:

@@ -110,19 +110,22 @@ def emit_graph_text(g: Graph, L: LineBundle, R: ResistanceMap) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """One complex literal: a, ai, a+bi or a-bi with decimal floats."""
+    """One complex literal: a, ai, a+bi or a-bi with decimal floats, each part finite."""
     s = text.strip()
     m = _IMAG_RE.match(s)
     if m:
-        return complex(0.0, float(m.group("im")))
-    m = _COMPLEX_RE.match(s)
-    if not m:
-        raise GraphSyntaxError(f"bad complex literal {text!r}")
-    re_part = float(m.group("re"))
-    if m.group("sep") is None:
-        return complex(re_part, 0.0)
-    im = float(m.group("im"))
-    return complex(re_part, -im if m.group("sep") == "-" else im)
+        re_part, im = 0.0, float(m.group("im"))
+    else:
+        m = _COMPLEX_RE.match(s)
+        if not m:
+            raise GraphSyntaxError(f"bad complex literal {text!r}")
+        re_part = float(m.group("re"))
+        im = 0.0 if m.group("sep") is None else float(m.group("im"))
+        if m.group("sep") == "-":
+            im = -im
+    if not (math.isfinite(re_part) and math.isfinite(im)):
+        raise GraphSyntaxError(f"complex literal {text!r} is not finite")
+    return complex(re_part, im)
 
 
 def parse_chain_text(text: str, g: Graph) -> ChainVector:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bundle import DEFAULT_EPS_HOL, H0Report, LineBundle, h0_trivial, holonomy
+from .bundle import DEFAULT_EPS_HOL, H0Report, LineBundle, _h0_check, holonomy
 from .chains import (
     ChainVector,
     LinearOperator,
@@ -183,15 +183,15 @@ def is_tree_homological(g: Graph, L: LineBundle, edges) -> bool:
     Only meaningful under the standing assumption that the ambient twisted
     degree-0 homology vanishes, so that is checked first.
     """
-    if not h0_trivial(g, L).trivial:
+    D = boundary_operator(g, L).matrix
+    if not _h0_check(g, L, D, None, DEFAULT_EPS_HOL).trivial:
         raise AssumptionViolatedError("ambient twisted degree-0 homology is nonzero")
     ids = _edge_id_tuple(g, edges)
     n = len(g.vertices)
     if len(ids) != n:
         return False
-    sub = g.spanning_subcomplex(ids)
-    M = boundary_operator(g, L, sub).matrix
-    return numerical_rank(M) == n
+    # the restricted boundary: the edges' columns in graph order
+    return numerical_rank(D[:, sorted(map(g.edge_index, ids))]) == n
 
 
 def _warn_near_trivial(D: np.ndarray, c: _Census, weak, eps_hol: float, stacklevel):
@@ -251,10 +251,11 @@ def _admitted(
     """The filter behind every forest sum: `_filter` over the graph's cached
     census, with the h0 check and boundary it rests on.  A near-trivial
     exclusion warns as `warnings.warn(..., stacklevel)` here would (2: at the caller)."""
-    h0 = h0_trivial(g, L)
+    bop = boundary_operator(g, L)
+    h0 = _h0_check(g, L, bop.matrix, None, DEFAULT_EPS_HOL)
     if not h0.trivial:
         raise AssumptionViolatedError("ambient twisted degree-0 homology is nonzero")
-    a = _filter(g, _census(g), L, R, eps_hol)._replace(h0=h0, bop=boundary_operator(g, L))
+    a = _filter(g, _census(g), L, R, eps_hol)._replace(h0=h0, bop=bop)
     weak = np.flatnonzero(~a.ok)
     if len(weak):
         _warn_near_trivial(a.bop.matrix, a.census, weak, eps_hol, stacklevel + 1)

@@ -148,17 +148,6 @@ class Subcomplex:
         object.__setattr__(self, "vertices", tuple(vs))
         object.__setattr__(self, "edges", tuple(es))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subcomplex)
-            and self.graph is other.graph
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((id(self.graph), self.vertices, self.edges))
-
 
 def full_subcomplex(g: Graph) -> Subcomplex:
     return g.full_subcomplex()
@@ -248,11 +237,6 @@ def _circuit_edge_indices(g: Graph, edge_indices) -> list[int]:
 def _orient_circuit(g: Graph, circuit_edges) -> OrientedCircuit:
     """Canonical walk: start at the least vertex, leave along the least edge."""
     circuit_edges = sorted(circuit_edges)
-    if len(circuit_edges) == 1:
-        ei = circuit_edges[0]
-        t, h = g._ends[ei]
-        if t == h:
-            return OrientedCircuit(((g.edges[ei].id, 1),))
     slots: dict[int, list[int]] = {}
     for ei in circuit_edges:
         t, h = g._ends[ei]

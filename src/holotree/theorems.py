@@ -259,9 +259,11 @@ def tree_laplacian_identity(g: Graph, L: LineBundle, T: ForestRecord) -> TreeLap
     one LU of D_T: its Gram matrix would square cond(D_T).
     """
     _require_graph(g, T)
-    sub = g.spanning_subcomplex(T.edges)
+    bop = boundary_operator(g, L)
+    cols = sorted(T.edge_indices)  # D_T's columns in graph order
+    D_T = LinearOperator(bop.matrix[:, cols], 1, [bop.domain[j] for j in cols], 0, bop.codomain)
     with np.errstate(over="ignore"):
-        v = float(np.exp(2.0 * determinant(boundary_operator(g, L, sub)).log_abs))
+        v = float(np.exp(2.0 * determinant(D_T).log_abs))
     rel = abs(v - T.rho_hat) / max(T.rho_hat, _TINY)
     return TreeLaplacianCheck(v, T.rho_hat, rel)
 
@@ -280,6 +282,9 @@ def _check_weight_exponents(g: Graph, T: ForestRecord, W: dict[str, float]) -> N
     missing = [e.id for e in g.edges if e.id not in W]
     if missing:
         raise InvalidWError(f"missing weight exponents for edges {missing!r}")
+    infinite = [e.id for e in g.edges if not np.isfinite(W[e.id])]
+    if infinite:
+        raise InvalidWError(f"weight exponents for edges {infinite!r} are not finite")
     tree = set(T.edges)
     tree_sum = sum(W[b] for b in tree)
     tree_min = min(W[b] for b in tree)

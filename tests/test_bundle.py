@@ -102,6 +102,17 @@ def test_gauge_validation():
         gauge.value("w")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Gauge({"v": float("nan")}), lambda: Gauge({"v": complex(float("inf"), 0.0)}),
+     lambda: Gauge.from_angles({"v": float("inf")}), lambda: Gauge.from_angles({"v": float("nan")})],
+    ids=["nan", "inf", "angle-inf", "angle-nan"],
+)
+def test_gauge_rejects_nonfinite_values(make):
+    with pytest.raises(ValueError, match="unit modulus"):
+        make()
+
+
 def test_gauge_transform_missing_vertex(theta):
     with pytest.raises(MissingGaugeValueError):
         gauge_transform(theta.bundle, Gauge.from_angles({"u": 0.1}))
@@ -158,6 +169,12 @@ def test_h0_requires_connected():
     L = attach_phases(g, {"lx": np.pi, "ly": np.pi})
     with pytest.raises(DisconnectedError):
         h0_trivial(g, L)
+
+
+def test_h0_requires_a_vertex():
+    g = build_graph([], [])
+    with pytest.raises(DisconnectedError):
+        h0_trivial(g, attach_phases(g, {}))
 
 
 def test_h0_routes_disagree_in_the_near_trivial_band():

@@ -273,6 +273,67 @@ def test_warning_format_is_scoped_to_main(tmp_path, capsys):
     assert rc == 2 and warnings.formatwarning is original
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["matrix-tree", "--tol", "nan"], ["matrix-tree", "--tol", "-1"], ["project", "--tol", "inf"],
+     ["matrix-tree", "--eps-hol", "nan"], ["validate", "--eps-hol", "nan"],
+     ["forests", "--eps-hol", "inf"], ["gauge-check", "--eps-hol", "-0.001"]],
+    ids=["tol-nan", "tol-negative", "tol-inf", "eps-hol-nan", "validate-eps-hol-nan",
+         "eps-hol-inf", "eps-hol-negative"],
+)
+def test_thresholds_must_be_finite_and_nonnegative(theta_file, capsys, argv):
+    rc, out, err = run_cli(capsys, [argv[0], theta_file, *argv[1:]])
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "ValueError" and diag["message"].startswith(argv[1])
+
+
+def test_solve_rejects_an_overflowing_voltage(theta_file, capsys):
+    rc, out, err = run_cli(capsys, ["solve", theta_file, "--voltage", "a=1e999"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "GraphSyntaxError"
+
+
+def test_lowtemp_rejects_an_infinite_weight_exponent(theta_file, capsys):
+    rc, out, err = run_cli(capsys, ["lowtemp", theta_file, "--w", "a=1,b=1,c=1e999"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidWError"
+
+
+TRIVIAL_THETA_TEXT = """\
+vertex u
+vertex v
+edge a u v phase 0 resistance 1
+edge b u v phase 0 resistance 1
+edge c u v phase 0 resistance 1
+"""
+
+DISCONNECTED_TEXT = """\
+vertex u
+vertex v
+vertex w
+edge a u v phase 0 resistance 1
+edge b u v phase 1 resistance 2
+edge c w w phase 0 resistance 1
+"""
+
+
+@pytest.mark.parametrize(
+    "text,connected,dims",
+    [(TRIVIAL_THETA_TEXT, True, (1, 2)), (DISCONNECTED_TEXT, False, (1, 1))],
+    ids=["theta-trivial", "disconnected"],
+)
+def test_validate_dims(tmp_path, capsys, text, connected, dims):
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    rc, out, err = run_cli(capsys, ["validate", str(p)])
+    assert rc == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["connected"] is connected
+    assert (rep["dim_h0"], rep["dim_h1"]) == dims
+    assert list(rep)[-2:] == ["dim_h0", "dim_h1"]
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_gauge_check_rejects_count_below_one(theta_file, capsys, count):
     rc, out, err = run_cli(capsys, ["gauge-check", theta_file, "--gauges", count])

@@ -183,6 +183,12 @@ def test_parse_complex_rejects_garbage(text):
         parse_complex(text)
 
 
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "1e999i", "1+1e999i", "1-1e999i"])
+def test_parse_complex_rejects_overflow(text):
+    with pytest.raises(GraphSyntaxError, match="not finite"):
+        parse_complex(text)
+
+
 def test_parse_chain_text(theta):
     g = theta.graph
     V = parse_chain_text("a=1+0.5i, c=-2i", g)

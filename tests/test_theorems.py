@@ -27,6 +27,7 @@ from holotree import (
     gauge_transform,
     h0_trivial,
     holonomy,
+    is_tree_homological,
     kernel_basis,
     kirchhoff_projection,
     low_temp_demo,
@@ -44,6 +45,7 @@ from holotree import (
 from holotree import bundle as bundle_mod
 from holotree import chains as chains_mod
 from holotree import forests as forests_mod
+from holotree import graphs as graphs_mod
 from holotree import theorems as theorems_mod
 
 from conftest import TWO_PI, random_triple
@@ -304,6 +306,13 @@ def test_low_temp_rejects_bad_exponents(two_loops, theta):
                       {"a": 5.0, "b": 1.0, "c": 2.0})
 
 
+@pytest.mark.parametrize("w_c", [float("inf"), float("-inf"), float("nan")])
+def test_low_temp_rejects_nonfinite_exponents(theta, w_c):
+    # W_c = inf would stand for a resistance exp(beta * inf) that ResistanceMap refuses
+    with pytest.raises(InvalidWError, match="not finite"):
+        low_temp_demo(theta.graph, theta.bundle, theta.forests[0], {"a": 1.0, "b": 1.0, "c": w_c})
+
+
 def test_low_temp_rejects_unknown_edges(theta):
     T = theta.forests[0]
     with pytest.raises(UnknownEdgeError, match="'zz'"):
@@ -389,7 +398,7 @@ def test_identities_build_no_forest_records(suite, monkeypatch):
 
 def test_matrix_tree_report_checks_h0_once(suite, monkeypatch):
     calls = []
-    original = bundle_mod.h0_trivial
+    original = bundle_mod._h0_check
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -398,8 +407,8 @@ def test_matrix_tree_report_checks_h0_once(suite, monkeypatch):
     t = suite[0]
     forests = t.forests  # the suite's lazy census runs its own h0 check
     for mod in (bundle_mod, forests_mod, theorems_mod):
-        if hasattr(mod, "h0_trivial"):
-            monkeypatch.setattr(mod, "h0_trivial", counting)
+        if hasattr(mod, "_h0_check"):
+            monkeypatch.setattr(mod, "_h0_check", counting)
     g, L, R = t.graph, t.bundle, t.resist
     assert matrix_tree_report(g, L, R).forest_count == len(forests)
     assert len(calls) == 1
@@ -428,8 +437,8 @@ def test_matrix_tree_report_checks_h0_once(suite, monkeypatch):
 
 
 def test_each_report_builds_one_boundary_and_kernel_per_bundle(suite, monkeypatch):
-    # h0_trivial builds and ranks its own boundary; beyond that a report builds
-    # one boundary per bundle, takes one kernel basis if it needs one, and no
+    # a report builds one boundary per bundle; the h0 check ranks that matrix,
+    # and the report takes one kernel basis if it needs one and no
     # homology_dims: the determinant, the T_bar sum, the oracle, the kernel-fix
     # and orthogonality checks and dims_equal all read those
     calls = Counter()
@@ -440,9 +449,10 @@ def test_each_report_builds_one_boundary_and_kernel_per_bundle(suite, monkeypatc
             return fn(*args, **kwargs)
         return wrapped
 
-    mods = (bundle_mod, chains_mod, forests_mod, theorems_mod)
-    for home, name in ((bundle_mod, "h0_trivial"), (chains_mod, "boundary_operator"),
-                       (chains_mod, "kernel_basis"), (chains_mod, "homology_dims")):
+    mods = (bundle_mod, chains_mod, forests_mod, graphs_mod, theorems_mod)
+    for home, name in ((bundle_mod, "h0_trivial"), (bundle_mod, "_h0_check"),
+                       (chains_mod, "boundary_operator"), (chains_mod, "kernel_basis"),
+                       (chains_mod, "homology_dims"), (graphs_mod, "_component_cells")):
         original = getattr(home, name)
         for mod in mods:
             if getattr(mod, name, None) is original:
@@ -450,19 +460,26 @@ def test_each_report_builds_one_boundary_and_kernel_per_bundle(suite, monkeypatc
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     t = suite[0]
     g, L, R = t.graph, t.bundle, t.resist
+    T = t.forests[0]
     V = ChainVector(1, edge_basis(g), np.ones(len(g.edges), dtype=complex))
     gauge = Gauge.from_angles({v: 1.0 for v in g.vertices})
-    keys = ("h0_trivial", "boundary_operator", "kernel_basis", "homology_dims", "svd")
+    keys = ("h0_trivial", "_h0_check", "boundary_operator", "kernel_basis", "homology_dims", "svd")
     runs = {  # the expected count of each of `keys`
-        "matrix_tree_report": (lambda: matrix_tree_report(g, L, R), (1, 2, 0, 0, 1)),
-        "kirchhoff_projection": (lambda: kirchhoff_projection(g, L, R), (1, 2, 1, 0, 3)),
-        "solve_network": (lambda: solve_network(g, L, R, V), (1, 2, 1, 0, 2)),
-        "gauge_invariance_check": (lambda: gauge_invariance_check(g, L, R, gauge), (2, 4, 0, 0, 2)),
+        "matrix_tree_report": (lambda: matrix_tree_report(g, L, R), (0, 1, 1, 0, 0, 1)),
+        "kirchhoff_projection": (lambda: kirchhoff_projection(g, L, R), (0, 1, 1, 1, 0, 3)),
+        "solve_network": (lambda: solve_network(g, L, R, V), (0, 1, 1, 1, 0, 2)),
+        "gauge_invariance_check": (lambda: gauge_invariance_check(g, L, R, gauge), (0, 2, 2, 0, 0, 2)),
+        "enumerate_forests": (lambda: enumerate_forests(g, L, R), (0, 1, 1, 0, 0, 1)),
+        "is_tree_homological": (lambda: is_tree_homological(g, L, T.edges), (0, 1, 1, 0, 0, 2)),
+        "tree_laplacian_identity": (lambda: tree_laplacian_identity(g, L, T), (0, 0, 1, 0, 0, 0)),
+        # the public check builds its own boundary, and its tree walk finds connectivity
+        "h0_trivial": (lambda: bundle_mod.h0_trivial(g, L), (1, 1, 1, 0, 0, 1)),
     }
     for name, (run, expected) in runs.items():
         calls.clear()
         run()
         assert tuple(calls[k] for k in keys) == expected, name
+    assert calls["_component_cells"] == 0 and not hasattr(bundle_mod, "_component_cells")
 
 
 @st.composite

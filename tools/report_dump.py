@@ -3,12 +3,16 @@
     PYTHONPATH=src python3 tools/report_dump.py OUT
 
 runs `matrix_tree_report`, `kirchhoff_projection`, `solve_network`,
-`gauge_invariance_check` and `oracle_projection` on the 100-graph test suite
+`gauge_invariance_check`, `oracle_projection`, `h0_trivial` (at the default
+`tol` and at `H0_TOL`) and `homology_dims` on the 100-graph test suite
 (`tests/conftest.make_suite()`, with one seeded voltage and gauge per graph),
 once at the default `eps_hol` and once at 0.5, which excludes and warns, and
 on the `phase_sweep` benchmark bundles of seeds 1-10, ops 0-99 (drawn
 with `perfbench.workloads`' own helpers, as its ops draw them), and writes
-one line per report to OUT.  Floats are written as `float.hex`, arrays as the
+one line per report to OUT.  On the suite graphs it also runs
+`is_tree_homological` on the first `TREE_SUBSETS` n-edge subsets, in edge
+order, and `tree_laplacian_identity` on every forest `enumerate_forests`
+admits.  Floats are written as `float.hex`, arrays as the
 SHA-256 of their bytes, and a report that raises as its exception; warnings
 are written on the line after.  Every run uses the holotree that this script
 imports, so two checkouts compare with
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import math
 import sys
 import warnings
@@ -40,16 +45,23 @@ from holotree import (  # noqa: E402
     ResistanceMap,
     attach_phases,
     edge_basis,
+    enumerate_forests,
     gauge_invariance_check,
+    h0_trivial,
+    homology_dims,
+    is_tree_homological,
     kirchhoff_projection,
     matrix_tree_report,
     oracle_projection,
     solve_network,
+    tree_laplacian_identity,
 )
 from perfbench import workloads  # noqa: E402
 
 SWEEP_SEEDS = range(1, 11)
 SWEEP_OPS = range(100)
+H0_TOL = 1e-6
+TREE_SUBSETS = 30
 
 
 def _fmt(value) -> str:
@@ -76,10 +88,24 @@ def _reports(g, L, R, V, gauge, eps_hol):
     yield "solve_network", lambda: solve_network(g, L, R, V, eps_hol)
     yield "gauge_invariance_check", lambda: gauge_invariance_check(g, L, R, gauge, eps_hol)
     yield "oracle_projection", lambda: oracle_projection(g, L, R)
+    yield "h0_trivial", lambda: h0_trivial(g, L, eps_hol=eps_hol)
+    yield f"h0_trivial/tol={H0_TOL!r}", lambda: h0_trivial(g, L, H0_TOL, eps_hol)
+    yield "homology_dims", lambda: homology_dims(g, L)
 
 
-def _dump(out, label: str, g, L, R, V, gauge, eps_hol=DEFAULT_EPS_HOL) -> None:
-    for name, call in _reports(g, L, R, V, gauge, eps_hol):
+def _forest_reports(g, L, R, eps_hol):
+    n_subsets = itertools.combinations(edge_basis(g), len(g.vertices))
+    subsets = list(itertools.islice(n_subsets, TREE_SUBSETS))
+    yield "is_tree_homological", lambda: [is_tree_homological(g, L, ids) for ids in subsets]
+    yield "tree_laplacian_identity", lambda: [
+        tree_laplacian_identity(g, L, T) for T in enumerate_forests(g, L, R, eps_hol)]
+
+
+def _dump(out, label: str, g, L, R, V, gauge, eps_hol=DEFAULT_EPS_HOL, forests=False) -> None:
+    reports = _reports(g, L, R, V, gauge, eps_hol)
+    if forests:
+        reports = itertools.chain(reports, _forest_reports(g, L, R, eps_hol))
+    for name, call in reports:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -101,7 +127,7 @@ def _suite_inputs():
             {v: float(a) for v, a in zip(g.vertices, rng.uniform(0.0, 2.0 * math.pi, len(g.vertices)))}
         )
         for eps_hol in (DEFAULT_EPS_HOL, 0.5):
-            yield f"{t.name}/{eps_hol!r}", g, t.bundle, t.resist, V, gauge, eps_hol
+            yield f"{t.name}/{eps_hol!r}", g, t.bundle, t.resist, V, gauge, eps_hol, True
 
 
 def _sweep_inputs():
