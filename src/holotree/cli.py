@@ -142,6 +142,7 @@ def _complex_json(z: complex) -> dict:
 
 def _cmd_validate(args):
     g, L, R = _load(args)
+    dims = homology_dims(g, L)
     report = {
         "command": "validate",
         "file": args.file,
@@ -151,10 +152,8 @@ def _cmd_validate(args):
     try:
         rep = h0_trivial(g, L, eps_hol=args.eps_hol)
     except DisconnectedError:
-        dims = homology_dims(g, L)
         report.update({"connected": False, "h0_trivial": False})
     else:
-        dims = (len(g.vertices) - rep.rank, len(g.edges) - rep.rank)
         report.update(
             {
                 "connected": True,
