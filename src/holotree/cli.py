@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 
@@ -374,6 +375,11 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads `-1e-3` or `-1,5` as an option: write `--tol -1e-3` as `--tol=-1e-3`
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--tol", "--eps-hol", "--beta") and re.match(r"-[0-9.]", argv[i]):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:

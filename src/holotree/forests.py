@@ -92,31 +92,22 @@ def _unicyclic_circuits(g: Graph, edge_indices, circuits: dict):
     return out
 
 
-def _rest_indices(tree: np.ndarray, m: int) -> np.ndarray:
-    """(F, m - n) non-tree edge indices, ascending, for (F, n) tree indices
-    (F = 0 when m < n)."""
-    keep = np.ones((len(tree), m), dtype=bool)
-    keep[np.arange(len(tree))[:, None], tree] = False
-    return (np.flatnonzero(keep) % m).reshape(len(tree), max(m - tree.shape[1], 0))
-
-
 class _Census:
     """The phase-independent structure of the edge-index tuples in `combos`
     (each given in edge-id order) whose components are each unicyclic, one
-    row per kept candidate: `edge_ids`; the tree edge indices `tree` (C, n);
-    the other edge indices `rest` (C, m - n); the distinct `circuits`, one
-    shared instance each; and `slots` (C, k) mapping each candidate's
-    components, ordered by least vertex, to their circuits.  Candidates with
-    fewer than k components point the spare slots at len(circuits).
+    row per kept candidate: the tree edge indices `tree` (C, n), in edge-id
+    order; the distinct `circuits`, one shared instance each; and `slots`
+    (C, k) mapping each candidate's components, ordered by least vertex, to
+    their circuits.  Candidates with fewer than k components point the spare
+    slots at len(circuits).
 
-    These are what the per-bundle identities read; records derive component
-    cells from the `tree` row.  `tree` also determines `edge_ids` and `rest`,
-    but deriving them per bundle would slow every report and T_bar sum."""
+    A row's edge ids, component cells and non-tree edges are not stored:
+    each is derived from its `tree` row where it is read."""
 
-    __slots__ = ("edge_ids", "tree", "rest", "circuits", "slots")
+    __slots__ = ("tree", "circuits", "slots")
 
     def __init__(self, g: Graph, combos):
-        n, m = len(g.vertices), len(g.edges)
+        n = len(g.vertices)
         circuits: dict[tuple[int, ...], OrientedCircuit] = {}
         slot: dict[OrientedCircuit, int] = {}  # in order of first sight, as `circuits`
         trees, rows = [], []
@@ -126,9 +117,7 @@ class _Census:
                 trees.append(combo)
                 rows.append([slot.setdefault(circ, len(slot)) for circ in circs])
         count = len(trees)
-        self.edge_ids = tuple(tuple(g.edges[ei].id for ei in combo) for combo in trees)
         self.tree = np.array(trees, dtype=np.intp).reshape(count, n)
-        self.rest = _rest_indices(self.tree, m)
         self.circuits = tuple(slot)
         k = max(map(len, rows), default=0)
         rows = [r + [len(slot)] * (k - len(r)) for r in rows]
@@ -194,10 +183,10 @@ def is_tree_homological(g: Graph, L: LineBundle, edges) -> bool:
     return numerical_rank(D[:, sorted(map(g.edge_index, ids))]) == n
 
 
-def _warn_near_trivial(D: np.ndarray, c: _Census, weak, eps_hol: float, stacklevel):
+def _warn_near_trivial(g: Graph, D: np.ndarray, c: _Census, weak, eps_hol: float, stacklevel):
     # the restricted boundary of each row: its tree columns in graph order
-    details = [f"{c.edge_ids[i]!r} (cond {np.linalg.cond(D[:, np.sort(c.tree[i])]):.3e})"
-               for i in weak[:3]]
+    details = [f"{tuple(g.edges[e].id for e in c.tree[i])!r} "
+               f"(cond {np.linalg.cond(D[:, np.sort(c.tree[i])]):.3e})" for i in weak[:3]]
     more = "" if len(weak) <= 3 else f" and {len(weak) - 3} more"
     warnings.warn(
         f"{len(weak)} spanning unicyclic subgraph(s) excluded: circuit holonomy "
@@ -234,7 +223,7 @@ def _filter(g: Graph, c: _Census, L: LineBundle, R: ResistanceMap, eps_hol: floa
     gaps = np.array([abs(h - 1.0) for h in hols] + [np.inf])  # spare slots pass
     ok = (gaps[c.slots] > eps_hol).all(axis=1)
     factors = np.array([abs(h - 1.0) ** 2 for h in hols] + [1.0])
-    rho = np.ones(len(c.edge_ids))
+    rho = np.ones(len(c.tree))
     for j in range(c.slots.shape[1]):
         rho = rho * factors[c.slots[:, j]]
     r = R.diagonal(edge_basis(g))
@@ -258,7 +247,7 @@ def _admitted(
     a = _filter(g, _census(g), L, R, eps_hol)._replace(h0=h0, bop=bop)
     weak = np.flatnonzero(~a.ok)
     if len(weak):
-        _warn_near_trivial(a.bop.matrix, a.census, weak, eps_hol, stacklevel + 1)
+        _warn_near_trivial(g, a.bop.matrix, a.census, weak, eps_hol, stacklevel + 1)
     return a
 
 
@@ -269,13 +258,14 @@ def _records(g: Graph, L: LineBundle, R: ResistanceMap, a: _Admitted, rows) -> l
     columns = (c.tree[rows], c.slots[rows], a.hol[rows], a.rho[rows], a.weight[rows])
     vertices = range(len(g.vertices))
     out = []
-    for i, tree, slots, hols, rho, weight in zip(rows.tolist(), *(x.tolist() for x in columns)):
+    for tree, slots, hols, rho, weight in zip(*(x.tolist() for x in columns)):
         comps = tuple(
             ForestComponent(tuple(g.vertices[v] for v in vs), tuple(g.edges[e].id for e in es),
                             c.circuits[s], h)
             for (vs, es), s, h in zip(_component_cells(g, vertices, tree), slots, hols)
         )
-        out.append(ForestRecord(c.edge_ids[i], comps, rho, weight, tuple(tree), g, L, R))
+        ids = tuple(g.edges[e].id for e in tree)  # in edge-id order, as the row
+        out.append(ForestRecord(ids, comps, rho, weight, tuple(tree), g, L, R))
     return out
 
 
@@ -311,7 +301,7 @@ def forest_record(
     filter over a one-row census.  R needs a resistance for every edge."""
     ids = _edge_id_tuple(g, edges)
     c = _Census(g, [tuple(g.edge_index(b) for b in ids)])
-    if not c.edge_ids:
+    if not len(c.tree):
         raise ValueError(f"edge set {ids!r} is not a spanning union of unicyclic components")
     a = _filter(g, c, L, R, eps_hol)
     if not a.ok[0]:
@@ -325,12 +315,16 @@ def forest_record(
 _CHUNK_ENTRIES = 1 << 13
 
 
-def _tbar_sum(D, tree, rest, weights, tol: float = 1e-9):
-    """Sum_T w_T T_bar_T over the forests in the rows of `tree` (F, n), `rest`
-    (F, m - n) and `weights` (F,), each from the forest's own solve of
-    D[:, tree] U = D[:, rest].  Entries are summed in forest order, so the
-    chunking does not change the result."""
+def _tbar_sum(D, tree, weights, tol: float = 1e-9):
+    """Sum_T w_T T_bar_T over the forests in the rows of `tree` (F, n) and
+    `weights` (F,), each from the forest's own solve of D[:, tree] U =
+    D[:, rest], for its non-tree edges `rest`, ascending, found once per
+    call.  Entries are summed in forest order, so the chunking does not
+    change the result."""
     m = D.shape[1]
+    keep = np.ones((len(tree), m), dtype=bool)  # rest (F, m - n): the columns left out
+    keep[np.arange(len(tree))[:, None], tree] = False
+    rest = (np.flatnonzero(keep) % m).reshape(len(tree), max(m - tree.shape[1], 0))
     acc = np.zeros(m * m, dtype=complex)
     step = max(1, _CHUNK_ENTRIES // D.size)
     for s in range(0, len(tree) if rest.shape[1] else 0, step):  # m == n: every T_bar is 0
@@ -355,9 +349,7 @@ def tbar_operator(g: Graph, L: LineBundle, T: ForestRecord, tol: float = 1e-9) -
     edges: the one-forest, unit-weight case of the batched T_bar sum.
     """
     _require_graph(g, T)
-    tree = np.array([T.edge_indices])
-    rest = _rest_indices(tree, len(g.edges))
-    M = _tbar_sum(boundary_operator(g, L).matrix, tree, rest, np.ones(1), tol)
+    M = _tbar_sum(boundary_operator(g, L).matrix, np.array([T.edge_indices]), np.ones(1), tol)
     basis = edge_basis(g)
     return LinearOperator(M, 1, basis, 1, basis)
 

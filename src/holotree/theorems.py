@@ -80,7 +80,7 @@ def _forest_sum_operator(adm):
     """Sum_T w_T T_bar_T and Delta over the forests admitted in `adm`."""
     c, ok = adm.census, adm.ok
     delta = _forest_total(adm.weight[ok].tolist())
-    return _tbar_sum(adm.bop.matrix, c.tree[ok], c.rest[ok], adm.weight[ok]), delta
+    return _tbar_sum(adm.bop.matrix, c.tree[ok], adm.weight[ok]), delta
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,6 @@ class MatrixTreeReport:
     sum_weights: float
     relative_error: float | None
     forest_count: int
-    weights: tuple[tuple[tuple[str, ...], float], ...]
     degenerate: bool
 
     def passed(self, tol: float) -> bool:
@@ -221,28 +220,18 @@ def matrix_tree_report(
     assumption fails (or every candidate is below the holonomy threshold)
     the census is empty and the determinant is compared against zero.
     """
-    table, total = (), 0.0
+    count, total = 0, 0.0
     try:
         adm = _admitted(g, L, R, eps_hol)
     except AssumptionViolatedError:
         bop = boundary_operator(g, L)
     else:
-        admitted, bop = np.flatnonzero(adm.ok), adm.bop
-        ids, weights = adm.census.edge_ids, adm.weight[admitted].tolist()
-        table = tuple(zip([ids[i] for i in admitted], weights))
-        total = _forest_total(weights)
+        bop, weights = adm.bop, adm.weight[adm.ok].tolist()
+        count, total = len(weights), _forest_total(weights)
     det = determinant(laplacian(bop, R))
     det_val = float(det.value.real)
     rel = abs(det_val - total) / total if total > 0.0 else None
-    return MatrixTreeReport(
-        det_val,
-        det.log_abs,
-        total,
-        rel,
-        len(table),
-        table,
-        not table,
-    )
+    return MatrixTreeReport(det_val, det.log_abs, total, rel, count, not count)
 
 
 @dataclass(frozen=True)
@@ -283,17 +272,20 @@ def _check_weight_exponents(g: Graph, T: ForestRecord, W: dict[str, float]) -> N
     infinite = [e.id for e in g.edges if not np.isfinite(W[e.id])]
     if infinite:
         raise InvalidWError(f"weight exponents for edges {infinite!r} are not finite")
+    # every forest has |T| edges, so W - min_T W has the same ratios and no
+    # negative tree entry; a non-tree edge above T's shifted total makes T the
+    # unique least-total forest
     tree = set(T.edges)
     tree_sum = sum(W[b] for b in tree)
     tree_min = min(W[b] for b in tree)
-    bound = tree_sum - len(g.edges) * tree_min
+    bound = tree_sum - (len(tree) - 1) * tree_min
     for e in g.edges:
         if e.id in tree:
             continue
         if not W[e.id] > bound:
             raise InvalidWError(
                 f"W[{e.id!r}] = {W[e.id]!r} must exceed {bound!r} "
-                "(tree total minus edge count times tree minimum)"
+                "(tree total minus (tree size - 1) times tree minimum)"
             )
 
 

@@ -191,6 +191,17 @@ def test_lowtemp_rejects_inadmissible_weights(theta_file, capsys):
     assert json.loads(err)["error"]["type"] == "InvalidWError"
 
 
+@pytest.mark.parametrize("file, tree, w", [("theta_file", "a,b", "a=1,b=1,c=0.5"),
+                                           ("twoloop_file", "b1", "b1=1,b2=0.5")],
+                         ids=["theta", "two-loops"])
+def test_lowtemp_rejects_weights_another_forest_undercuts(request, capsys, file, tree, w):
+    # {a, c} totals 1.5 < 2 on theta and b2 totals 0.5 < 1 on two loops, so the
+    # ratio for the given tree would fall to 0
+    rc, out, err = run_cli(capsys, ["lowtemp", request.getfixturevalue(file), "--tree", tree, "--w", w])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidWError"
+
+
 def test_lowtemp_rejects_unknown_weight_edge(theta_file, capsys):
     rc, out, err = run_cli(capsys, [
         "lowtemp", theta_file, "--tree", "a,b", "--w", "a=1,zz=3,b=1,c=9",
@@ -200,11 +211,18 @@ def test_lowtemp_rejects_unknown_weight_edge(theta_file, capsys):
     assert diag["type"] == "UnknownEdgeError" and "'zz'" in diag["message"]
 
 
-@pytest.mark.parametrize("beta", [",", "1,nan", "1,inf"])
+@pytest.mark.parametrize("beta", [",", "1,nan", "1,inf", "-1e-3,nan"])
 def test_lowtemp_rejects_empty_or_nonfinite_beta(twoloop_file, capsys, beta):
     rc, out, err = run_cli(capsys, ["lowtemp", twoloop_file, "--beta", beta])
     assert rc == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_negative_value_with_an_exponent_is_a_value(twoloop_file, capsys):
+    # argparse alone reads `-1e-3,5` as an option flag
+    spaced = run_cli(capsys, ["lowtemp", twoloop_file, "--beta", "-1e-3,5"])
+    assert spaced == run_cli(capsys, ["lowtemp", twoloop_file, "--beta=-1e-3,5"])
+    assert spaced[0] == 0 and json.loads(spaced[1])["betas"] == [-0.001, 5]
 
 
 @pytest.mark.parametrize(
@@ -277,9 +295,10 @@ def test_warning_format_is_scoped_to_main(tmp_path, capsys):
     "argv",
     [["matrix-tree", "--tol", "nan"], ["matrix-tree", "--tol", "-1"], ["project", "--tol", "inf"],
      ["matrix-tree", "--eps-hol", "nan"], ["validate", "--eps-hol", "nan"],
-     ["forests", "--eps-hol", "inf"], ["gauge-check", "--eps-hol", "-0.001"]],
+     ["forests", "--eps-hol", "inf"], ["gauge-check", "--eps-hol", "-0.001"],
+     ["matrix-tree", "--tol", "-1e-3"], ["matrix-tree", "--eps-hol", "-1e-3"]],
     ids=["tol-nan", "tol-negative", "tol-inf", "eps-hol-nan", "validate-eps-hol-nan",
-         "eps-hol-inf", "eps-hol-negative"],
+         "eps-hol-inf", "eps-hol-negative", "tol-negative-exponent", "eps-hol-negative-exponent"],
 )
 def test_thresholds_must_be_finite_and_nonnegative(theta_file, capsys, argv):
     rc, out, err = run_cli(capsys, [argv[0], theta_file, *argv[1:]])

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import warnings
 
@@ -37,7 +38,7 @@ from holotree import (
 )
 from holotree import forests as forests_mod
 from holotree.bundle import DEFAULT_EPS_HOL
-from holotree.forests import _admitted, _census, _rest_indices, _tbar_sum
+from holotree.forests import _admitted, _census, _tbar_sum
 from holotree.graphs import _component_cells
 
 from conftest import TWO_PI, graph_7_14, random_triple
@@ -102,21 +103,29 @@ def _cells(g, tree):
     return _component_cells(g, range(len(g.vertices)), tree.tolist())
 
 
+def _edge_ids(g, tree):
+    return tuple(g.edges[e].id for e in tree)
+
+
+def _non_tree(g, tree):
+    return sorted(set(range(len(g.edges))) - set(tree))
+
+
 def _admitted_rows(g, a):
-    """Per admitted forest: edges, tree indices, rest indices, holonomies
-    (spare slots dropped), rho and weight, as Python values."""
+    """Per admitted forest: edges, tree indices, non-tree indices,
+    holonomies (spare slots dropped), rho and weight, as Python values."""
     c, rows = a.census, []
     for i in np.flatnonzero(a.ok):
+        tree = c.tree[i].tolist()
         k = len(_cells(g, c.tree[i]))
         assert a.hol[i, k:].tolist() == [0j] * (a.hol.shape[1] - k)
-        rows.append((c.edge_ids[i], c.tree[i].tolist(), c.rest[i].tolist(),
+        rows.append((_edge_ids(g, tree), tree, _non_tree(g, tree),
                      a.hol[i, :k].tolist(), a.rho[i].item(), a.weight[i].item()))
     return rows
 
 
 def _record_rows(g, forests):
-    return [(T.edges, list(T.edge_indices),
-             [j for j in range(len(g.edges)) if j not in T.edge_indices],
+    return [(T.edges, list(T.edge_indices), _non_tree(g, T.edge_indices),
              [c.holonomy for c in T.components], T.rho_hat, T.weight) for T in forests]
 
 
@@ -143,9 +152,10 @@ def test_admitted_arrays_equal_the_records(suite):
 
 
 def test_census_memory_per_candidate():
-    # the cached census keeps its arrays, edge-id tuples and distinct circuits,
-    # not per-candidate component cells
+    # the cached census keeps its tree rows, slots and distinct circuits, not
+    # per-candidate edge ids, non-tree indices or component cells
     g, _, _ = graph_7_14()  # a fresh graph: its census is not cached yet
+    gc.collect()  # earlier tests' garbage, freed mid-census, would hide what it keeps
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -153,15 +163,15 @@ def test_census_memory_per_candidate():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(c.edge_ids) == 1246
-    assert kept <= 500 * len(c.edge_ids)
+    assert len(c.tree) == 1246
+    assert kept <= 250 * len(c.tree)
 
 
 def test_high_threshold_exclusions_and_warning_text(suite):
     mixed = 0
     for t in suite[:20]:
         g, L, R = t.graph, t.bundle, t.resist
-        cands = _census(g).edge_ids
+        cands = [_edge_ids(g, tree) for tree in _census(g).tree]
         kept = [ids for ids in cands if is_tree_combinatorial(g, L, ids, 1.0)]
         weak = [ids for ids in cands if ids not in kept]
         if not weak:
@@ -202,7 +212,7 @@ def test_overflowing_weights_are_inf_without_warnings(census_7_14):
 def test_one_holonomy_per_distinct_circuit(census_7_14, monkeypatch):
     g, L, _ = census_7_14
     c = _census(g)
-    assert len(c.circuits) < len(c.edge_ids)
+    assert len(c.circuits) < len(c.tree)
     calls = []
     original = forests_mod.holonomy
 
@@ -358,8 +368,7 @@ def _tbar_loop(D, tree_idx):
 
 def _batch(g, L, forests):
     tree = np.array([T.edge_indices for T in forests])
-    rest = _rest_indices(tree, len(g.edges))
-    return boundary_operator(g, L).matrix, tree, rest, np.array([T.weight for T in forests])
+    return boundary_operator(g, L).matrix, tree, np.array([T.weight for T in forests])
 
 
 @pytest.fixture(scope="module")
@@ -401,10 +410,10 @@ def test_tbar_sum_does_not_depend_on_chunking(census_7_14, monkeypatch, per_chun
 
 def test_tbar_sum_checks_every_forest_residual(census_7_14):
     g, L, forests = census_7_14
-    D, tree, rest, weights = _batch(g, L, forests)
+    D, tree, weights = _batch(g, L, forests)
     ratios = []
-    for t, r in zip(tree, rest):
-        A, B = D[:, t], D[:, r]
+    for t in tree:
+        A, B = D[:, t], D[:, _non_tree(g, t.tolist())]
         U = np.linalg.solve(A, B)
         scale = max(1.0, np.abs(A).max() * np.abs(U).max() + np.abs(B).max())
         ratios.append(np.abs(A @ U - B).max() / scale)
@@ -415,7 +424,7 @@ def test_tbar_sum_checks_every_forest_residual(census_7_14):
     step = forests_mod._CHUNK_ENTRIES // D.size
     order = np.delete(np.arange(len(forests)), k)
     order = np.insert(order, step + step // 2, k)
-    batch = (D, tree[order], rest[order], weights[order])
+    batch = (D, tree[order], weights[order])
     _tbar_sum(*batch, tol=1.1 * worst)
     for tol in (0.95 * worst, 0.0):
         with pytest.raises(SingularTreeSystemError, match="residual"):

@@ -169,7 +169,7 @@ def test_matrix_tree_two_loops(two_loops):
     assert rep.sum_weights == pytest.approx(4.0)
     assert rep.relative_error <= 1e-12
     assert not rep.degenerate
-    assert rep.weights == ((("b1",), pytest.approx(2.0)), (("b2",), pytest.approx(2.0)))
+    assert rep.forest_count == 2
 
 
 def test_matrix_tree_degenerate_is_reported_not_raised():
@@ -300,10 +300,21 @@ def test_low_temp_whole_graph_forest_gives_ratio_one(loop_pi):
 def test_low_temp_rejects_bad_exponents(two_loops, theta):
     with pytest.raises(InvalidWError, match="missing"):
         low_temp_demo(two_loops.graph, two_loops.bundle, two_loops.forests[0], {"b1": 1.0})
-    # bound for T = (a, b) with W_a=5, W_b=1 is 6 - 3*1 = 3, so W_c = 2 fails
-    with pytest.raises(InvalidWError, match="exceed"):
+    # bound for T = (a, b) with W_a=5, W_b=1 is 6 - (2 - 1)*1 = 5, so W_c = 2 fails
+    with pytest.raises(InvalidWError, match="exceed 5.0"):
         low_temp_demo(theta.graph, theta.bundle, theta.forests[0],
                       {"a": 5.0, "b": 1.0, "c": 2.0})
+
+
+@pytest.mark.parametrize("case, W", [("theta", {"a": 1.0, "b": 1.0, "c": 0.5}),
+                                     ("two_loops", {"b1": 1.0, "b2": 0.5})],
+                         ids=["theta", "two-loops"])
+def test_low_temp_rejects_exponents_another_forest_undercuts(request, case, W):
+    # {a, c} totals 1.5 < 2 on theta and b2 totals 0.5 < 1 on two loops; both
+    # pass a bound of tree total minus edge count times tree minimum
+    t = request.getfixturevalue(case)
+    with pytest.raises(InvalidWError, match="exceed 1.0"):
+        low_temp_demo(t.graph, t.bundle, t.forests[0], W)
 
 
 @pytest.mark.parametrize("w_c", [float("inf"), float("-inf"), float("nan")])
@@ -355,10 +366,10 @@ def test_gauge_check_random_gauges(theta):
 def test_matrix_tree_table_matches_the_records(suite):
     for t in suite:
         rep = matrix_tree_report(t.graph, t.bundle, t.resist)
-        assert rep.weights == tuple((T.edges, T.weight) for T in t.forests), t
+        assert rep.forest_count == len(t.forests), t
         total = 0.0
-        for _, w in rep.weights:
-            total += w
+        for T in t.forests:
+            total += T.weight
         assert rep.sum_weights == total, t
 
 
@@ -425,15 +436,15 @@ def test_matrix_tree_report_checks_h0_once(suite, monkeypatch):
     loop = build_graph(["v"], [("b", "v", "v")])
     rep = matrix_tree_report(loop, attach_phases(loop, {"b": 0.0}), ResistanceMap.unit(loop))
     assert len(calls) == 1
-    assert rep == MatrixTreeReport(0.0, -np.inf, 0.0, None, 0, (), True)
+    assert rep == MatrixTreeReport(0.0, -np.inf, 0.0, None, 0, True)
     calls.clear()
     theta = build_graph(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "u", "v")])
     L0 = attach_phases(theta, {"a": 0.5, "b": 0.5, "c": 0.5})
     rep = matrix_tree_report(theta, L0, ResistanceMap({"a": 1.0, "b": 2.0, "c": 4.0}))
     assert len(calls) == 1
     assert abs(rep.det_laplacian) <= 1e-12
-    assert (rep.sum_weights, rep.relative_error, rep.forest_count, rep.weights, rep.degenerate) == (
-        0.0, None, 0, (), True)
+    assert (rep.sum_weights, rep.relative_error, rep.forest_count, rep.degenerate) == (
+        0.0, None, 0, True)
 
 
 def test_each_report_builds_one_boundary_and_kernel_per_bundle(suite, monkeypatch):

@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python3 tools/report_dump.py OUT
 
-runs `matrix_tree_report`, `kirchhoff_projection`, `solve_network`,
+runs `matrix_tree_report`, the `(edges, weight)` of every `enumerate_forests`
+record, `kirchhoff_projection`, `solve_network`,
 `gauge_invariance_check`, `oracle_projection`, `h0_trivial` (at the default
 `tol` and at `H0_TOL`) and `homology_dims` on the 100-graph test suite
 (`tests/conftest.make_suite()`, with one seeded voltage and gauge per graph),
@@ -84,6 +85,7 @@ def _fmt(value) -> str:
 
 def _reports(g, L, R, V, gauge, eps_hol):
     yield "matrix_tree_report", lambda: matrix_tree_report(g, L, R, eps_hol)
+    yield "enumerate_forests", lambda: [(T.edges, T.weight) for T in enumerate_forests(g, L, R, eps_hol)]
     yield "kirchhoff_projection", lambda: kirchhoff_projection(g, L, R, eps_hol)
     yield "solve_network", lambda: solve_network(g, L, R, V, eps_hol)
     yield "gauge_invariance_check", lambda: gauge_invariance_check(g, L, R, gauge, eps_hol)
